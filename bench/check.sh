@@ -31,6 +31,25 @@ if dune exec bin/hrt_sim.exe -- admit query P:100:90; then
   echo "check.sh: overloaded set was admitted" >&2
   exit 1
 fi
+# Int64-extreme specs: a wrapping lcm gets a verdict (exit 0 or 1, never a
+# crash), and a 100% task whose slice + overhead wraps is rejected under
+# both policies with a certificate that replays.
+status=0
+dune exec bin/hrt_sim.exe -- admit query P:1000000:1000 P:9300001:1000 || status=$?
+if [ "$status" -gt 1 ]; then
+  echo "check.sh: wrapping-lcm query exited $status" >&2
+  exit 1
+fi
+for policy in edf rm; do
+  status=0
+  dune exec bin/hrt_sim.exe -- admit query --policy "$policy" \
+    P:9223372036854775:9223372036854775 >/tmp/hrt_full_task.txt || status=$?
+  cat /tmp/hrt_full_task.txt
+  if [ "$status" -ne 1 ] || ! grep -q 'certificate: replays ok' /tmp/hrt_full_task.txt; then
+    echo "check.sh: 100% task not rejected with a replaying certificate ($policy)" >&2
+    exit 1
+  fi
+done
 dune exec bin/hrt_sim.exe -- admitbench --quick --out /tmp/BENCH_admit_quick.json
 
 echo "== admission serving smoke =="

@@ -1215,8 +1215,7 @@ let servebench_cmd =
         "With $(b,--check-against), the measured warm serving throughput \
          is compared to a committed baseline artifact and the exit \
          status is 2 when it regresses by more than $(b,--tolerance) — \
-         or when warm replies diverge from cold, or the warm speedup \
-         falls below $(b,--min-speedup).";
+         or when warm replies diverge from cold.";
     ]
   in
   let sets =
@@ -1255,16 +1254,7 @@ let servebench_cmd =
       & info [ "tolerance" ] ~docv:"FRAC"
           ~doc:"Allowed fractional warm-q/s regression (default 0.2).")
   in
-  let min_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:
-            "Fail (exit 2) when warm/cold throughput falls below \
-             $(docv).")
-  in
-  let run jobs sets repeats out quick check_against tolerance min_speedup =
+  let run jobs sets repeats out quick check_against tolerance =
     let module B = Hrt_serve.Serve_bench in
     let sets, repeats = if quick then (32, 4) else (sets, repeats) in
     let jobs = if jobs > 1 then jobs else 4 in
@@ -1281,12 +1271,6 @@ let servebench_cmd =
       Printf.eprintf "servebench: warm replies diverge from cold replies\n";
       exit 2
     end;
-    (match min_speedup with
-    | Some floor when r.B.warm_speedup < floor ->
-      Printf.eprintf "servebench: warm speedup %.1fx below required %.1fx\n"
-        r.B.warm_speedup floor;
-      exit 2
-    | _ -> ());
     match check_against with
     | None -> ()
     | Some path -> (
@@ -1301,7 +1285,7 @@ let servebench_cmd =
   Cmd.v (Cmd.info "servebench" ~doc ~man)
     Term.(
       const run $ jobs_term $ sets $ repeats $ out $ quick $ check_against
-      $ tolerance $ min_speedup)
+      $ tolerance)
 
 let () =
   let doc = "Hard real-time scheduling for parallel run-time systems (HPDC'18 reproduction)." in

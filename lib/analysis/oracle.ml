@@ -11,7 +11,7 @@ type rm_response = {
 type blocking_link = { hp_period : Time.ns; hp_cost : Time.ns; jobs : int64 }
 
 type cert =
-  | Edf_demand of { horizon : Time.ns; interval : Time.ns; demand : Time.ns }
+  | Edf_demand of { horizon : Time.ns; demand : Time.ns }
   | Util of { util : float; bound : float }
   | Rm_points of rm_response list
   | Rm_blocking of {
@@ -22,59 +22,6 @@ type cert =
   | Density of { density : float; bound : float }
 
 type result = { verdict : Admission.verdict; certs : cert list }
-
-(* ---- shared arithmetic ---- *)
-
-let rec gcd64 a b = if Int64.equal b 0L then a else gcd64 b (Int64.rem a b)
-
-(* Hyperperiod capped at 1 s, matching the runtime ledger: the sentinel
-   routes pathological period combinations to the utilization test. *)
-let hyperperiod set =
-  let lcm_capped acc p =
-    let l = Int64.div (Int64.mul acc p) (gcd64 acc p) in
-    if Int64.compare l 1_000_000_000L > 0 then Int64.min_int else l
-  in
-  List.fold_left
-    (fun acc (p, _) ->
-      if Int64.equal acc Int64.min_int then acc else lcm_capped acc p)
-    1L set
-
-let edf_demand_at ~ovh set d =
-  List.fold_left
-    (fun acc (p, s) ->
-      let jobs = Int64.div d p in
-      Time.(acc + Int64.mul jobs Time.(s + ovh)))
-    0L set
-
-let deadline_cap = 4096
-
-let edf_deadlines ~h set =
-  let per_task =
-    List.concat_map
-      (fun (p, _) ->
-        let count = Int64.to_int (Int64.div h p) in
-        if count > deadline_cap then []
-        else List.init count (fun k -> Int64.mul p (Int64.of_int (k + 1))))
-      set
-  in
-  List.sort_uniq Int64.compare (h :: per_task)
-
-let effective_util ~ovh set =
-  List.fold_left
-    (fun acc (p, s) -> acc +. (Int64.to_float Time.(s + ovh) /. Int64.to_float p))
-    0. set
-
-let liu_layland n =
-  if n <= 0 then 1.
-  else begin
-    let fn = float_of_int n in
-    fn *. ((2. ** (1. /. fn)) -. 1.)
-  end
-
-let ceil_div a b = Int64.div (Int64.add a (Int64.sub b 1L)) b
-
-let slack ~capacity ~demand d =
-  ((Int64.to_float d *. capacity) -. Int64.to_float demand) /. Int64.to_float d
 
 (* ---- task extraction ---- *)
 
@@ -114,52 +61,34 @@ let structural_failure (ts : Taskset.t) =
   in
   go ts.Taskset.tasks
 
-(* ---- EDF: processor-demand criterion ---- *)
+(* ---- EDF: processor-demand criterion, closed form at the hyperperiod ---- *)
+
+let edf_cert ~capacity = function
+  | Demand.Hyperperiod { horizon; demand } -> Edf_demand { horizon; demand }
+  | Demand.Utilization { util } -> Util { util; bound = capacity }
 
 let edf_analysis ~ovh ~capacity set =
-  let h = hyperperiod set in
-  let util = effective_util ~ovh set in
-  if Int64.equal h Int64.min_int then begin
-    let cert = Util { util; bound = capacity } in
-    if util <= capacity then Ok (capacity -. util, cert)
-    else
-      Error
-        ( Admission.Rejection.Utilization_bound { util; bound = capacity },
-          cert )
-  end
-  else begin
-    let rec scan min_slack witness = function
-      | [] -> Ok (min_slack, witness)
-      | d :: rest ->
-        let demand = edf_demand_at ~ovh set d in
-        if Int64.to_float demand <= Int64.to_float d *. capacity then begin
-          let s = slack ~capacity ~demand d in
-          if s < min_slack then
-            scan s (Edf_demand { horizon = h; interval = d; demand }) rest
-          else scan min_slack witness rest
-        end
-        else
-          Error
-            ( Admission.Rejection.Hyperperiod_demand { interval = d; demand },
-              Edf_demand { horizon = h; interval = d; demand } )
-    in
-    let first = Edf_demand { horizon = h; interval = h; demand = 0L } in
-    scan infinity first (edf_deadlines ~h set)
-  end
+  let d = Demand.edf ~ovh ~capacity set in
+  let cert = edf_cert ~capacity d.Demand.witness in
+  if d.Demand.admitted then Ok (d.Demand.headroom, cert)
+  else Error (Admission.Rejection.of_edf ~capacity d.Demand.witness, cert)
 
 (* ---- RM: Lehoczky-Sha-Ding scheduling-point criterion ---- *)
 
-(* [hp_of arr i] — every other task whose period is <= task [i]'s: with
-   equal periods each peer counts as higher priority for both tasks,
-   which is conservative under any dispatcher tie-break. *)
-let hp_of arr i =
-  let p_i, _ = arr.(i) in
-  let hp = ref [] in
-  for j = Array.length arr - 1 downto 0 do
-    let p_j, _ = arr.(j) in
-    if j <> i && Int64.compare p_j p_i <= 0 then hp := arr.(j) :: !hp
-  done;
-  !hp
+(* [hp_of set task] — every other task of [set] whose period is <=
+   [task]'s (one instance of [task] itself dropped from the multiset):
+   with equal periods each peer counts as higher priority for both
+   tasks, which is conservative under any dispatcher tie-break. *)
+let hp_of set (period, slice) =
+  let dropped = ref false in
+  List.filter
+    (fun (p, s) ->
+      if (not !dropped) && Int64.equal p period && Int64.equal s slice then begin
+        dropped := true;
+        false
+      end
+      else Int64.compare p period <= 0)
+    set
 
 let rm_points ~p hp =
   let per_task =
@@ -171,84 +100,77 @@ let rm_points ~p hp =
   in
   List.sort_uniq Int64.compare (p :: per_task)
 
+(* Synchronous demand at point [t]: one job of the task under test plus
+   every higher-priority arrival in [0, t). [None] on Int64 overflow,
+   which fails the point. *)
 let rm_demand_at ~ovh ~slice hp t =
-  List.fold_left
-    (fun acc (pj, sj) -> Time.(acc + Int64.mul (ceil_div t pj) Time.(sj + ovh)))
-    Time.(slice + ovh) hp
+  Option.bind (Demand.cost ~ovh slice) (fun own ->
+      Option.bind
+        (Demand.demand ~ovh ~jobs:(fun pj -> Demand.ceil_div t pj) hp)
+        (Demand.add own))
+
+(* Overflowed quantities in a rejection saturate at Int64.max_int. *)
+let saturate = Option.value ~default:Int64.max_int
 
 let rm_chain ~ovh ~period hp =
   List.map
     (fun (pj, sj) ->
-      { hp_period = pj; hp_cost = Time.(sj + ovh); jobs = ceil_div period pj })
+      {
+        hp_period = pj;
+        hp_cost = saturate (Demand.cost ~ovh sj);
+        jobs = Demand.ceil_div period pj;
+      })
     hp
 
-let rm_over_cap arr =
-  let n = Array.length arr in
-  let over = ref false in
-  for i = 0 to n - 1 do
-    let p_i, _ = arr.(i) in
-    for j = 0 to n - 1 do
-      let p_j, _ = arr.(j) in
-      if Int64.compare (Int64.div p_i p_j) (Int64.of_int deadline_cap) > 0 then
-        over := true
-    done
-  done;
-  !over
+(* Scheduling points are enumerated only while no period exceeds
+   [deadline_cap] times another; past that, Liu-Layland decides. *)
+let deadline_cap = 4096
+
+(* The feasible point with the most slack for one task, if any. *)
+let rm_best_point ~ovh ~capacity ~slice hp p =
+  List.fold_left
+    (fun best t ->
+      match rm_demand_at ~ovh ~slice hp t with
+      | Some demand when Demand.fits ~capacity ~interval:t (Some demand) -> (
+        let s = Demand.slack ~capacity ~interval:t demand in
+        match best with
+        | Some (_, _, s') when s' >= s -> best
+        | _ -> Some (t, demand, s))
+      | _ -> best)
+    None (rm_points ~p hp)
 
 let rm_analysis ~ovh ~capacity set =
-  let arr =
-    Array.of_list
-      (List.sort
-         (fun (p1, s1) (p2, s2) ->
-           match Int64.compare p1 p2 with
-           | 0 -> Int64.compare s1 s2
-           | c -> c)
-         set)
-  in
-  if rm_over_cap arr then begin
+  let sorted = List.sort compare set in
+  let p_min = fst (List.hd sorted) in
+  let p_max = fst (List.nth sorted (List.length sorted - 1)) in
+  if Int64.compare (Int64.div p_max p_min) (Int64.of_int deadline_cap) > 0
+  then begin
     (* Scheduling-point set too large to enumerate exactly: Liu-Layland
        sufficient bound, scaled by the capacity. *)
-    let util = effective_util ~ovh set in
-    let bound = liu_layland (Array.length arr) *. capacity in
+    let util = Demand.utilization ~ovh set in
+    let bound = Demand.liu_layland (List.length set) *. capacity in
     let cert = Util { util; bound } in
     if util <= bound then Ok (bound -. util, cert)
     else Error (Admission.Rejection.Utilization_bound { util; bound }, cert)
   end
   else begin
-    let n = Array.length arr in
-    let responses = ref [] in
-    let min_slack = ref infinity in
-    let blocked = ref None in
-    let i = ref 0 in
-    while !blocked = None && !i < n do
-      let p_i, s_i = arr.(!i) in
-      let hp = hp_of arr !i in
-      let best = ref None in
-      List.iter
-        (fun t ->
-          let demand = rm_demand_at ~ovh ~slice:s_i hp t in
-          if Int64.to_float demand <= Int64.to_float t *. capacity then begin
-            let s = slack ~capacity ~demand t in
-            match !best with
-            | Some (_, _, s') when s' >= s -> ()
-            | _ -> best := Some (t, demand, s)
-          end)
-        (rm_points ~p:p_i hp);
-      (match !best with
-      | Some (point, demand, s) ->
-        responses := { period = p_i; slice = s_i; point; demand } :: !responses;
-        if s < !min_slack then min_slack := s
-      | None ->
-        let demand = rm_demand_at ~ovh ~slice:s_i hp p_i in
-        blocked := Some (p_i, s_i, demand, hp));
-      incr i
-    done;
-    match !blocked with
-    | Some (period, slice, demand, hp) ->
-      Error
-        ( Admission.Rejection.Hyperperiod_demand { interval = period; demand },
-          Rm_blocking { period; slice; chain = rm_chain ~ovh ~period hp } )
-    | None -> Ok (!min_slack, Rm_points (List.rev !responses))
+    let rec go responses min_slack = function
+      | [] -> Ok (min_slack, Rm_points (List.rev responses))
+      | ((period, slice) as task) :: rest -> (
+        let hp = hp_of sorted task in
+        match rm_best_point ~ovh ~capacity ~slice hp period with
+        | Some (point, demand, s) ->
+          go
+            ({ period; slice; point; demand } :: responses)
+            (if s < min_slack then s else min_slack)
+            rest
+        | None ->
+          let demand = saturate (rm_demand_at ~ovh ~slice hp period) in
+          Error
+            ( Admission.Rejection.Hyperperiod_demand { interval = period; demand },
+              Rm_blocking { period; slice; chain = rm_chain ~ovh ~period hp } ))
+    in
+    go [] infinity sorted
   end
 
 (* ---- sporadic: density against the reservation ---- *)
@@ -320,28 +242,30 @@ let feq a b = Float.abs (a -. b) <= 1e-9
    arithmetic that does not reproduce raises. *)
 let check_cert ~cfg ~ovh ~capacity ~periodic ~sporadic = function
   | Util { util; bound } ->
-    let u = effective_util ~ovh periodic in
+    let u = Demand.utilization ~ovh periodic in
     if not (feq u util) then
       failf "util certificate: stored %.9f, recomputed %.9f" util u;
     let expected =
       match cfg.Config.policy with
       | Config.Edf -> capacity
-      | Config.Rm -> liu_layland (List.length periodic) *. capacity
+      | Config.Rm -> Demand.liu_layland (List.length periodic) *. capacity
     in
     if not (feq bound expected) then
       failf "util certificate: stored bound %.9f, expected %.9f" bound expected;
     util <= bound
-  | Edf_demand { horizon; interval; demand } ->
+  | Edf_demand { horizon; demand } -> (
     if cfg.Config.policy <> Config.Edf then
       failf "EDF demand certificate under non-EDF policy";
-    let h = hyperperiod periodic in
-    if not (Int64.equal h horizon) then
-      failf "EDF certificate: stored horizon %Ld, recomputed %Ld" horizon h;
-    let d = edf_demand_at ~ovh periodic interval in
-    if not (Int64.equal d demand) then
-      failf "EDF certificate: demand at %Ld stored %Ld, recomputed %Ld"
-        interval demand d;
-    Int64.to_float demand <= Int64.to_float interval *. capacity
+    match Demand.hyperperiod periodic with
+    | None -> failf "EDF certificate: the hyperperiod overflows"
+    | Some h ->
+      if not (Int64.equal h horizon) then
+        failf "EDF certificate: stored horizon %Ld, recomputed %Ld" horizon h;
+      let d = Demand.demand ~ovh ~jobs:(fun p -> Int64.div h p) periodic in
+      if not (Option.equal Int64.equal d (Some demand)) then
+        failf "EDF certificate: demand at the hyperperiod %Ld does not \
+               recompute" demand;
+      Demand.fits ~capacity ~interval:horizon d)
   | Rm_points responses ->
     if cfg.Config.policy <> Config.Rm then
       failf "RM points certificate under non-RM policy";
@@ -356,46 +280,19 @@ let check_cert ~cfg ~ovh ~capacity ~periodic ~sporadic = function
       (fun r ->
         if Time.(r.point <= 0L) || Time.(r.point > r.period) then
           failf "RM certificate: point %Ld outside (0, %Ld]" r.point r.period;
-        (* hp = the other tasks with period <= r.period: drop one instance
-           of the task itself from the multiset. *)
-        let dropped = ref false in
-        let hp =
-          List.filter
-            (fun (p, s) ->
-              if
-                (not !dropped)
-                && Int64.equal p r.period
-                && Int64.equal s r.slice
-              then begin
-                dropped := true;
-                false
-              end
-              else Int64.compare p r.period <= 0)
-            periodic
-        in
+        let hp = hp_of periodic (r.period, r.slice) in
         let d = rm_demand_at ~ovh ~slice:r.slice hp r.point in
-        if not (Int64.equal d r.demand) then
-          failf "RM certificate: demand at %Ld stored %Ld, recomputed %Ld"
-            r.point r.demand d;
-        Int64.to_float d <= Int64.to_float r.point *. capacity)
+        if not (Option.equal Int64.equal d (Some r.demand)) then
+          failf "RM certificate: demand at %Ld stored %Ld does not recompute"
+            r.point r.demand;
+        Demand.fits ~capacity ~interval:r.point d)
       responses
   | Rm_blocking { period; slice; chain } ->
     if cfg.Config.policy <> Config.Rm then
       failf "RM blocking certificate under non-RM policy";
     if not (List.exists (fun (p, s) -> Int64.equal p period && Int64.equal s slice) periodic)
     then failf "RM blocking certificate names a task not in the set";
-    let dropped = ref false in
-    let hp =
-      List.filter
-        (fun (p, s) ->
-          if (not !dropped) && Int64.equal p period && Int64.equal s slice
-          then begin
-            dropped := true;
-            false
-          end
-          else Int64.compare p period <= 0)
-        periodic
-    in
+    let hp = hp_of periodic (period, slice) in
     let expected_chain = rm_chain ~ovh ~period hp in
     let sort_chain =
       List.sort (fun a b -> compare (a.hp_period, a.hp_cost) (b.hp_period, b.hp_cost))
@@ -407,10 +304,10 @@ let check_cert ~cfg ~ovh ~capacity ~periodic ~sporadic = function
     List.iter
       (fun t ->
         let d = rm_demand_at ~ovh ~slice hp t in
-        if Int64.to_float d <= Int64.to_float t *. capacity then
+        if Demand.fits ~capacity ~interval:t d then
           failf
             "RM blocking certificate refuted: point %Ld absorbs demand %Ld"
-            t d)
+            t (saturate d))
       (rm_points ~p:period hp);
     false
   | Density { density; bound } ->
@@ -425,11 +322,12 @@ let check_cert ~cfg ~ovh ~capacity ~periodic ~sporadic = function
 (* Headroom one certificate implies, mirroring [analyze]'s combine. *)
 let cert_headroom ~capacity = function
   | Util { util; bound } -> bound -. util
-  | Edf_demand { interval; demand; _ } -> slack ~capacity ~demand interval
+  | Edf_demand { horizon; demand } ->
+    Demand.slack ~capacity ~interval:horizon demand
   | Rm_points responses ->
     List.fold_left
       (fun acc r ->
-        Float.min acc (slack ~capacity ~demand:r.demand r.point))
+        Float.min acc (Demand.slack ~capacity ~interval:r.point r.demand))
       infinity responses
   | Rm_blocking _ -> neg_infinity
   | Density { density; bound } -> bound -. density
@@ -473,25 +371,6 @@ let check (ts : Taskset.t) (r : result) =
            && not (List.exists (fun (c, _) ->
                   match c with Density _ -> true | _ -> false) statuses)
         then failf "admitted verdict lacks a density certificate";
-        (* For EDF, confirm the stored witness really is the scan minimum
-           by re-scanning every deadline independently. *)
-        List.iter
-          (fun (c, _) ->
-            match c with
-            | Edf_demand { horizon; _ } ->
-              List.iter
-                (fun d ->
-                  let demand = edf_demand_at ~ovh periodic d in
-                  if Int64.to_float demand > Int64.to_float d *. capacity then
-                    failf "EDF scan refutes admission: deadline %Ld overloaded" d;
-                  if slack ~capacity ~demand d < headroom -. 1e-9 then
-                    failf
-                      "EDF witness is not the binding interval: deadline %Ld \
-                       has less slack"
-                      d)
-                (edf_deadlines ~h:horizon periodic)
-            | _ -> ())
-          statuses;
         let expected =
           match statuses with
           | [] -> capacity
@@ -519,27 +398,16 @@ let check (ts : Taskset.t) (r : result) =
                   Util { util = u; bound = b } ) ->
                 feq util u && feq bound b
               | ( Admission.Rejection.Hyperperiod_demand { interval; demand },
-                  Edf_demand { interval = i; demand = d; _ } ) ->
-                Int64.equal interval i && Int64.equal demand d
+                  Edf_demand { horizon; demand = d } ) ->
+                Int64.equal interval horizon && Int64.equal demand d
               | ( Admission.Rejection.Hyperperiod_demand { interval; demand },
                   Rm_blocking { period; slice; chain = _ } ) ->
                 Int64.equal interval period
-                && (let dropped = ref false in
-                    let hp =
-                      List.filter
-                        (fun (p, s) ->
-                          if
-                            (not !dropped)
-                            && Int64.equal p period
-                            && Int64.equal s slice
-                          then begin
-                            dropped := true;
-                            false
-                          end
-                          else Int64.compare p period <= 0)
-                        periodic
-                    in
-                    Int64.equal demand (rm_demand_at ~ovh ~slice hp period))
+                && Int64.equal demand
+                     (saturate
+                        (rm_demand_at ~ovh ~slice
+                           (hp_of periodic (period, slice))
+                           period))
               | _ -> false)
             failing
         in
@@ -565,10 +433,9 @@ let exact_infeasible (ts : Taskset.t) (r : result) =
 (* ---- printing ---- *)
 
 let pp_cert fmt = function
-  | Edf_demand { horizon; interval; demand } ->
-    Format.fprintf fmt
-      "EDF demand: %Ldns over [0,%Ldns] (hyperperiod %Ldns)" demand interval
-      horizon
+  | Edf_demand { horizon; demand } ->
+    Format.fprintf fmt "EDF demand: %Ldns over the hyperperiod [0,%Ldns]"
+      demand horizon
   | Util { util; bound } ->
     Format.fprintf fmt "utilization %.6f against bound %.6f" util bound
   | Rm_points responses ->

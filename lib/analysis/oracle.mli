@@ -4,12 +4,15 @@
     time with a policy-matched {e sufficient} test, the oracle analyzes a
     whole {!Taskset} offline with the {e exact} test for its policy:
 
-    - {e EDF}: the processor-demand criterion over one hyperperiod — the
-      same numerics as the runtime's [Hyperperiod_sim] admission mode
-      (each arrival charged its two scheduler invocations, supply scaled
-      by the periodic capacity). When the hyperperiod overflows the 1 s
-      cap the utilization test takes over, which for implicit-deadline
-      periodic sets is exact in both directions.
+    - {e EDF}: the processor-demand criterion, decided in closed form
+      at the hyperperiod H by {!Hrt_core.Demand.edf} — the same test as
+      the runtime's [Hyperperiod_sim] admission mode (each arrival
+      charged its two scheduler invocations, supply scaled by the
+      periodic capacity). Deadlines equal periods, so no deadline below
+      H has less slack than H itself and one O(n) evaluation replaces
+      the scan. Only when H or the demand over it overflows Int64 does
+      the effective-utilization test take over — exact in both
+      directions for implicit-deadline periodic sets.
     - {e RM}: the Lehoczky–Sha–Ding scheduling-point criterion — task
       [i] is schedulable iff {e some} point in the multiples of
       higher-priority periods up to its own deadline absorbs the
@@ -44,12 +47,13 @@ type blocking_link = {
 }
 
 type cert =
-  | Edf_demand of { horizon : Time.ns; interval : Time.ns; demand : Time.ns }
-      (** On admission: the minimum-slack deadline over the scan (the
-          binding interval). On rejection: the first overloaded one. *)
+  | Edf_demand of { horizon : Time.ns; demand : Time.ns }
+      (** The hyperperiod and the demand over it — the binding interval
+          on admission, the overloaded one on rejection. *)
   | Util of { util : float; bound : float }
-      (** Utilization-bound fallback (capped hyperperiod, or RM sets past
-          the scheduling-point cap). [util] has overhead folded in. *)
+      (** Utilization-bound fallback: EDF sets whose hyperperiod or
+          demand overflows Int64, or RM sets past the scheduling-point
+          cap. [util] has overhead folded in. *)
   | Rm_points of rm_response list
       (** One feasible scheduling point per task, sorted by period. *)
   | Rm_blocking of {
@@ -79,12 +83,12 @@ val analyze : Taskset.t -> result
 
 val check : Taskset.t -> result -> (unit, string) Result.t
 (** Independently re-derive the certificates from the task set: recompute
-    every stored demand, point, utilization, and density; confirm
-    feasibility witnesses satisfy their inequalities (for EDF, that the
-    binding interval really is the scan minimum; for RM blocking, that
-    every point fails); and confirm the verdict, its headroom, and its
-    rejection reason agree with the certificates. [Error] describes the
-    first inconsistency. *)
+    every stored hyperperiod, demand, point, utilization, and density;
+    confirm feasibility witnesses satisfy their inequalities (for RM
+    blocking, that every point fails); and confirm the verdict, its
+    headroom, and its rejection reason agree with the certificates.
+    O(n) for an EDF certificate. [Error] describes the first
+    inconsistency. *)
 
 val exact_infeasible : Taskset.t -> result -> bool
 (** Whether a rejection is backed by an exact-necessity argument — the

@@ -39,6 +39,11 @@ module Rejection = struct
         boundary
 
   let pp fmt t = Format.pp_print_string fmt (describe t)
+
+  let of_edf ~capacity = function
+    | Demand.Hyperperiod { horizon; demand } ->
+      Hyperperiod_demand { interval = horizon; demand }
+    | Demand.Utilization { util } -> Utilization_bound { util; bound = capacity }
 end
 
 type verdict =
@@ -119,75 +124,6 @@ let release_one t = function
 
 let release t c = release_one t c
 
-let liu_layland n =
-  if n <= 0 then 1.
-  else begin
-    let fn = float_of_int n in
-    fn *. ((2. ** (1. /. fn)) -. 1.)
-  end
-
-let rec gcd64 a b = if Int64.equal b 0L then a else gcd64 b (Int64.rem a b)
-
-(* Processor-demand test over one hyperperiod, charging each arrival its
-   scheduler overhead (the paper's prototype admission, Section 3.2). The
-   hyperperiod is capped: pathological period combinations fall back to the
-   plain utilization test with overhead folded into each cost. On success
-   the headroom is the smallest normalized slack over all checked
-   deadlines. *)
-let hyperperiod_check t ~capacity set =
-  let ovh = t.overhead_ns in
-  let lcm_capped acc p =
-    let l = Int64.div (Int64.mul acc p) (gcd64 acc p) in
-    if Int64.compare l 1_000_000_000L > 0 then Int64.min_int else l
-  in
-  let h = List.fold_left (fun acc (p, _) ->
-      if Int64.equal acc Int64.min_int then acc else lcm_capped acc p)
-      1L set
-  in
-  let effective_util =
-    List.fold_left
-      (fun acc (p, s) ->
-        acc +. (Int64.to_float Time.(s + ovh) /. Int64.to_float p))
-      0. set
-  in
-  if Int64.equal h Int64.min_int then begin
-    if effective_util <= capacity then Ok (capacity -. effective_util)
-    else
-      Error
-        (Rejection.Utilization_bound { util = effective_util; bound = capacity })
-  end
-  else begin
-    (* Check demand at every deadline (arrival multiple) up to H. *)
-    let deadlines =
-      List.concat_map
-        (fun (p, _) ->
-          let count = Int64.to_int (Int64.div h p) in
-          if count > 4096 then [] (* bounded pass; H check below covers it *)
-          else List.init count (fun k -> Int64.mul p (Int64.of_int (k + 1))))
-        set
-    in
-    let deadlines = List.sort_uniq Int64.compare (h :: deadlines) in
-    let rec scan min_slack = function
-      | [] -> Ok min_slack
-      | d :: rest ->
-        let demand =
-          List.fold_left
-            (fun acc (p, s) ->
-              let jobs = Int64.div d p in
-              Time.(acc + Int64.mul jobs Time.(s + ovh)))
-            0L set
-        in
-        let supply = Int64.to_float d *. capacity in
-        if Int64.to_float demand <= supply then
-          scan
-            (Float.min min_slack
-               ((supply -. Int64.to_float demand) /. Int64.to_float d))
-            rest
-        else Error (Rejection.Hyperperiod_demand { interval = d; demand })
-    in
-    scan infinity deadlines
-  end
-
 let admit_periodic t ~period ~slice =
   let cfg = t.config in
   if Time.(period < cfg.Config.min_period) || Time.(slice < cfg.Config.min_slice)
@@ -201,13 +137,19 @@ let admit_periodic t ~period ~slice =
        (Config.validate rejects it combined with RM). *)
     match (cfg.Config.admission, cfg.Config.policy) with
     | Config.Hyperperiod_sim, _ ->
-      hyperperiod_check t ~capacity ((period, slice) :: t.periodic_set)
+      (* The paper's prototype: processor demand over one hyperperiod,
+         each arrival charged its scheduler overhead. *)
+      let d =
+        Demand.edf ~ovh:t.overhead_ns ~capacity ((period, slice) :: t.periodic_set)
+      in
+      if d.Demand.admitted then Ok d.Demand.headroom
+      else Error (Rejection.of_edf ~capacity d.Demand.witness)
     | Config.Policy_bound, Config.Edf ->
       let total = t.periodic_util +. u in
       if total <= capacity then Ok (capacity -. total)
       else Error (Rejection.Utilization_bound { util = total; bound = capacity })
     | Config.Policy_bound, Config.Rm ->
-      let bound = liu_layland (t.periodic_count + 1) *. capacity in
+      let bound = Demand.liu_layland (t.periodic_count + 1) *. capacity in
       let total = t.periodic_util +. u in
       if total <= bound then Ok (bound -. total)
       else Error (Rejection.Utilization_bound { util = total; bound })

@@ -7,8 +7,8 @@
     - periodic threads: the bound matching [Config.policy] — utilization
       test against the periodic capacity (EDF) or the Liu-Layland bound
       scaled by the capacity (rate monotonic) — or the hyperperiod
-      processor-demand simulation when [Config.admission] selects it
-      (EDF only);
+      processor-demand test when [Config.admission] selects it (EDF
+      only; {!Demand.edf} decides it in closed form at the hyperperiod);
     - sporadic threads: density test ([size / (deadline - arrival)])
       against the sporadic reservation, with expired sporadics purged;
     - aperiodic threads: always admitted.
@@ -31,15 +31,19 @@ module Rejection : sig
     | Utilization_bound of { util : float; bound : float }
         (** Total utilization [util] would exceed the policy bound
             (periodic capacity for EDF, Liu-Layland-scaled capacity for
-            RM, or the fallback utilization test of the capped
-            hyperperiod simulation). *)
+            RM), or — for the hyperperiod test — the set's hyperperiod
+            or demand overflows Int64 and its effective utilization
+            exceeds the capacity. *)
     | Density_bound of { density : float; bound : float }
         (** Total sporadic density would exceed the sporadic
             reservation. *)
     | Hyperperiod_demand of { interval : Time.ns; demand : Time.ns }
-        (** Processor-demand simulation found an interval [[0, interval]]
+        (** The processor-demand test found an interval [[0, interval]]
             whose demand exceeds the supplied capacity — the witness the
-            analytical oracle re-checks. *)
+            analytical oracle re-checks. For EDF the interval is the
+            hyperperiod; for the oracle's RM test it is the blocked
+            task's period, with [demand] saturated at [Int64.max_int]
+            when it overflows. *)
     | Past_deadline of { arrival : Time.ns; deadline : Time.ns }
         (** Sporadic deadline not strictly after its arrival. *)
     | Overload_shed of { boundary : int }
@@ -54,13 +58,18 @@ module Rejection : sig
   (** One-line human-readable explanation with the numbers that failed. *)
 
   val pp : Format.formatter -> t -> unit
+
+  val of_edf : capacity:float -> Demand.edf_witness -> t
+  (** The rejection a failed {!Demand.edf} test reports:
+      [Hyperperiod_demand] at the hyperperiod, or [Utilization_bound]
+      against [capacity] when the exact arithmetic overflows. *)
 end
 
 type verdict =
   | Admitted of { headroom : float }
       (** Remaining slack under the governing bound: utilization slack for
-          the policy-bound tests, smallest normalized interval slack for
-          the hyperperiod simulation, density slack for sporadics. With
+          the policy-bound tests, normalized slack at the hyperperiod
+          for the hyperperiod test, density slack for sporadics. With
           [admission_control] off the verdict is always [Admitted] but the
           headroom still reports the distance to the bound (negative past
           the feasibility edge — Figs 6-9 runs). *)
@@ -80,7 +89,7 @@ type t
 
 val create : ?overhead_ns:Time.ns -> Config.t -> t
 (** [overhead_ns] is the scheduler's per-arrival overhead (two invocations)
-    charged by the hyperperiod-simulation policy; 0 by default. *)
+    charged by the hyperperiod test; 0 by default. *)
 
 val periodic_util : t -> float
 (** Committed periodic utilization. *)

@@ -37,11 +37,14 @@ type admission_mode =
           utilizations against the limit (EDF), or the Liu-Layland bound
           scaled by the capacity (RM) *)
   | Hyperperiod_sim
-      (** the paper's prototype (Section 3.2): simulate the schedule over a
-          hyperperiod — a processor-demand test that charges each arrival
-          its two scheduler invocations, so it admits more than the RM
-          bound while rejecting constraint sets that only fail because of
-          scheduler overhead (the Fig 6 edge) *)
+      (** the paper's prototype (Section 3.2): a processor-demand test
+          over one hyperperiod that charges each arrival its two
+          scheduler invocations, so it admits more than the RM bound
+          while rejecting constraint sets that only fail because of
+          scheduler overhead (the Fig 6 edge). Periodic deadlines equal
+          periods, so the demand at the hyperperiod alone decides it
+          ({!Demand.edf}); a hyperperiod or demand that overflows Int64
+          falls back to the equivalent effective-utilization test. *)
 
 type dispatch_policy =
   | Eager

@@ -23,14 +23,8 @@ let pp_error fmt = function
   | No_valid_frame -> Format.fprintf fmt "no valid frame size"
   | Unschedulable n -> Format.fprintf fmt "cannot pack job %s" n
 
-let rec gcd64 a b = if Int64.equal b 0L then a else gcd64 b (Int64.rem a b)
-
-let lcm64 a b = Int64.div (Int64.mul a b) (gcd64 a b)
-
-let utilization_of jobs =
-  List.fold_left
-    (fun acc j -> acc +. (Int64.to_float j.slice /. Int64.to_float j.period))
-    0. jobs
+let pairs jobs = List.map (fun j -> (j.period, j.slice)) jobs
+let utilization_of jobs = Demand.utilization ~ovh:0L (pairs jobs)
 
 (* Frame-size constraints (Liu, ch. 5):
    (1) f >= max slice (no instance is split);
@@ -42,7 +36,7 @@ let frame_ok jobs f =
     (fun j ->
       Time.(f >= j.slice)
       && Int64.compare
-           (Int64.sub (Int64.mul 2L f) (gcd64 f j.period))
+           (Int64.sub (Int64.mul 2L f) (Demand.gcd f j.period))
            j.period
          <= 0)
     jobs
@@ -73,9 +67,10 @@ let plan jobs =
       let u = utilization_of jobs in
       if u > 1. then Error (Utilization_too_high u)
       else begin
-        let h = List.fold_left (fun acc j -> lcm64 acc j.period) 1L jobs in
-        if Int64.compare h (Time.sec 100) > 0 then Error No_valid_frame
-        else begin
+        match Demand.hyperperiod (pairs jobs) with
+        | None -> Error No_valid_frame
+        | Some h when Int64.compare h (Time.sec 100) > 0 -> Error No_valid_frame
+        | Some h -> (
           match List.find_opt (frame_ok jobs) (divisors h) with
           | None -> Error No_valid_frame
           | Some f ->
@@ -129,8 +124,7 @@ let plan jobs =
               Array.iteri
                 (fun m pieces -> assignments.(m) <- List.rev pieces)
                 assignments;
-              Ok { jobs; hyperperiod = h; frame = f; assignments })
-        end
+              Ok { jobs; hyperperiod = h; frame = f; assignments }))
       end
   end
 

@@ -31,8 +31,9 @@ type error =
   | Empty_job_set
   | Invalid_job of string  (** non-positive period/slice or slice > period *)
   | Utilization_too_high of float
-  | No_valid_frame  (** no divisor of the hyperperiod satisfies the
-                        frame-size constraints *)
+  | No_valid_frame
+      (** the hyperperiod overflows Int64 or exceeds 100 s, or no divisor
+          of it satisfies the frame-size constraints *)
   | Unschedulable of string  (** packing failed for this job *)
 
 val pp_error : Format.formatter -> error -> unit

@@ -18,10 +18,10 @@ type result = {
   misses : int;
 }
 
-(* Near-harmonic periods whose lcm is 252 ms: the EDF demand scan walks
-   a few thousand deadlines per analysis, so a cold query costs orders
-   of magnitude more than the fingerprint-plus-lookup of a warm one —
-   the regime the memoization is for. *)
+(* Near-harmonic periods whose lcm is 252 ms, 6-12 tasks per set: a cold
+   query pays the fingerprint, an O(n) closed-form EDF test or an RM
+   scheduling-point scan, and the certificate; a warm one is the
+   fingerprint plus a lookup. *)
 let palette =
   [| Time.us 500; Time.us 600; Time.us 700; Time.us 800; Time.us 900; Time.ms 1 |]
 

@@ -12,8 +12,8 @@
       verifying the results stay identical to the sequential run.
 
     The headline [warm_queries_per_sec] backs the CI regression gate
-    ([BENCH_admit.json]); [warm_speedup_vs_cold] backs the ≥ 10x
-    memoization claim. *)
+    ([BENCH_admit.json]); [warm_speedup_vs_cold] is reported, not
+    gated. *)
 
 type result = {
   sets : int;

@@ -12,8 +12,7 @@ type outcome = {
 }
 
 (* Period palette for the randomized corpus: all well above the
-   granularity bound, with a 10 ms hyperperiod so the EDF demand scan is
-   always exact (never the capped-lcm fallback). *)
+   granularity bound, with a 10 ms hyperperiod. *)
 let palette = [| Time.us 500; Time.ms 1; Time.ms 2; Time.ms 5; Time.ms 10 |]
 
 (* One set per index: 1-4 periodic tasks whose total utilization spans
@@ -131,8 +130,8 @@ let check_one ~ctx ~index =
     if misses = 0 then
       problem "oracle proved infeasibility but the simulator never missed"
   | Middle -> ());
-  (* Ledger agreement. EDF: the oracle's demand scan and the ledger's
-     Hyperperiod_sim mode share their numerics — verdicts must match
+  (* Ledger agreement. EDF: the oracle and the ledger's Hyperperiod_sim
+     mode both decide through Demand.edf — verdicts must match
      exactly. RM: the ledger's Liu-Layland bound is sufficient only, so
      ledger admission (at zero overhead) must imply exact-test
      admission. *)

@@ -172,9 +172,15 @@ type request =
   | Stats
   | Drain
 
+let max_spec_us = Int64.to_int (Int64.div Int64.max_int 1_000L)
+
 let parse_spec s =
   let pos name v =
     match int_of_string_opt v with
+    | Some n when n > max_spec_us ->
+      Error
+        (Printf.sprintf "%s: %s exceeds the maximum %d" (sanitize s) name
+           max_spec_us)
     | Some n when n > 0 -> Ok (Time.us n)
     | _ ->
       Error

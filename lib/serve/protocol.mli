@@ -96,9 +96,14 @@ type request =
   | Stats
   | Drain
 
+val max_spec_us : int
+(** The largest value a spec field accepts: [Int64.max_int / 1000] µs,
+    the most that converts to Int64 nanoseconds without wrapping. *)
+
 val parse_spec : string -> (Constraints.t, string) result
 (** One task-spec token ([P:..:..], [S:..:..], [A]); shared with the
-    [hrt_sim admit] command line. *)
+    [hrt_sim admit] command line. Fields are integers in
+    [1, {!max_spec_us}]. *)
 
 val parse_request : string -> (request, error) result
 

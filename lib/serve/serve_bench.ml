@@ -19,9 +19,9 @@ type result = {
 }
 
 (* Same corpus shape as Admit_bench: 6-12 tasks over near-harmonic
-   periods (252 ms lcm), ~50-90% total utilization — a cold query walks
-   thousands of EDF demand points, a warm one is a fingerprint plus a
-   lookup. Rendered as protocol spec tokens, since these sets travel the
+   periods (252 ms lcm), ~50-90% total utilization — a cold query pays a
+   full oracle analysis, a warm one is a fingerprint plus a lookup.
+   Rendered as protocol spec tokens, since these sets travel the
    wire. *)
 let gen_specs ~seed index =
   let palette = [| 500; 600; 700; 800; 900; 1000 |] in

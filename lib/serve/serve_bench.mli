@@ -14,8 +14,8 @@
 
     The warm replies are compared byte-for-byte to the cold ones
     ([identical]); the headline [warm_queries_per_sec] backs the CI
-    regression gate ([BENCH_serve.json]), and [warm_speedup_vs_cold]
-    backs the ≥ 5x serving-memoization claim. *)
+    regression gate ([BENCH_serve.json]); [warm_speedup_vs_cold] is
+    reported, not gated. *)
 
 type result = {
   sets : int;

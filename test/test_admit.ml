@@ -134,8 +134,8 @@ let test_check_rejects_tampering () =
   check_ok "clean" ts r;
   let tampered_cert =
     match r.Oracle.certs with
-    | [ Oracle.Edf_demand { horizon; interval; demand } ] ->
-      [ Oracle.Edf_demand { horizon; interval; demand = Time.(demand + 1L) } ]
+    | [ Oracle.Edf_demand { horizon; demand } ] ->
+      [ Oracle.Edf_demand { horizon; demand = Time.(demand + 1L) } ]
     | _ -> Alcotest.fail "expected EDF certificate"
   in
   (match Oracle.check ts { r with Oracle.certs = tampered_cert } with
@@ -405,6 +405,167 @@ let prop_certificates_replay =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "certificate replay: %s" msg)
 
+(* ---- closed-form EDF against the enumerating scan ---- *)
+
+let periodic_pairs (ts : Taskset.t) =
+  List.filter_map
+    (function
+      | Constraints.Periodic { period; slice; _ } -> Some (period, slice)
+      | _ -> None)
+    ts.Taskset.tasks
+
+(* Periodic-only EDF sets of 1-12 tasks over four period shapes:
+   near-harmonic (252 ms hyperperiod), uniform 10-5000 us (mostly past
+   the scan's 1 s cap), and two harmonic palettes; total utilization
+   0.3-1.2 so both verdicts occur. *)
+let gen_edf_set =
+  QCheck.Gen.(
+    let* n = int_range 1 12 in
+    let* period_gen =
+      oneofl
+        [
+          oneofl [ 500; 600; 700; 800; 900; 1000 ];
+          int_range 10 5000;
+          oneofl [ 10; 20; 40; 80; 160; 320; 640 ];
+          oneofl [ 100; 200; 250; 500; 1000; 2000; 5000 ];
+        ]
+    in
+    let* target = float_range 0.3 1.2 in
+    let* tasks =
+      list_size (return n)
+        (let* period_us = period_gen in
+         let* jitter = float_range 0.5 1.5 in
+         let share = target /. float_of_int n *. jitter in
+         let slice_us =
+           Stdlib.max 1
+             (Stdlib.min period_us
+                (int_of_float (float_of_int period_us *. share)))
+         in
+         return (p ~period_us ~slice_us))
+    in
+    let* raw_view = bool in
+    return (if raw_view then raw tasks else production tasks))
+
+(* The closed form at the hyperperiod decides exactly what the old scan
+   over every deadline decided: same verdict kind, same reason name
+   (except that sets whose hyperperiod passed the scan's 1 s cap now get
+   the exact hyperperiod-demand reason instead of utilization-bound),
+   the same headroom, and a certificate that replays. *)
+let prop_closed_form_matches_scan =
+  QCheck.Test.make ~name:"EDF closed form matches the deadline scan"
+    ~count:1200 (QCheck.make ~print:(Format.asprintf "%a" Taskset.pp) gen_edf_set)
+    (fun ts ->
+      let ovh = ts.Taskset.overhead_ns in
+      let capacity = Config.periodic_capacity ts.Taskset.config in
+      let set = periodic_pairs ts in
+      let capped = Int64.equal (Old_edf_scan.hyperperiod set) Int64.min_int in
+      let d = Demand.edf ~ovh ~capacity set in
+      let r = Oracle.analyze ts in
+      (match Oracle.check ts r with
+      | Ok () -> ()
+      | Error msg -> QCheck.Test.fail_reportf "certificate replay: %s" msg);
+      if Admission.admitted r.Oracle.verdict <> d.Demand.admitted then
+        QCheck.Test.fail_report "oracle verdict differs from Demand.edf";
+      match Old_edf_scan.edf_analysis ~ovh ~capacity set with
+      | Ok (headroom, _) ->
+        if not d.Demand.admitted then
+          QCheck.Test.fail_report "scan admits, closed form rejects";
+        if Float.abs (headroom -. d.Demand.headroom) > 1e-9 then
+          QCheck.Test.fail_reportf "headroom: scan %.12f, closed form %.12f"
+            headroom d.Demand.headroom;
+        true
+      | Error (reason, _) ->
+        if d.Demand.admitted then
+          QCheck.Test.fail_report "scan rejects, closed form admits";
+        let was = Admission.Rejection.name reason in
+        let now =
+          Admission.Rejection.name
+            (Admission.Rejection.of_edf ~capacity d.Demand.witness)
+        in
+        String.equal was now
+        || capped
+           && String.equal was "utilization-bound"
+           && String.equal now "hyperperiod-demand"
+        || QCheck.Test.fail_reportf "reason: scan %s, closed form %s" was now)
+
+(* The one intended wire change: a hyperperiod past 1 s (1009 us x
+   1013 us) used to fall back to utilization-bound; the closed form
+   names the exact overloaded interval. *)
+let test_long_hyperperiod_reason () =
+  let ts =
+    production [ p ~period_us:1009 ~slice_us:600; p ~period_us:1013 ~slice_us:600 ]
+  in
+  let set = periodic_pairs ts in
+  let capacity = Config.periodic_capacity ts.Taskset.config in
+  (match Old_edf_scan.edf_analysis ~ovh:phi_overhead ~capacity set with
+  | Error (Admission.Rejection.Utilization_bound _, _) -> ()
+  | _ -> Alcotest.fail "the scan should fall back to utilization-bound");
+  let r = Oracle.analyze ts in
+  (match r.Oracle.verdict with
+  | Admission.Rejected
+      { reason = Admission.Rejection.Hyperperiod_demand { interval; _ } } ->
+    Alcotest.(check int64) "interval is the hyperperiod" 1_022_117_000L interval
+  | v ->
+    Alcotest.failf "expected hyperperiod-demand, got %s"
+      (Format.asprintf "%a" Admission.pp_verdict v));
+  check_ok "long hyperperiod" ts r
+
+(* ---- Int64 overflow: verdicts, never exceptions or wrapped admits ---- *)
+
+(* P:1000000:1000 P:9300001:1000 — its lcm product wraps Int64; and a
+   task at 100% utilization whose slice + overhead wraps. *)
+let wrapping_lcm =
+  [ p ~period_us:1_000_000 ~slice_us:1000; p ~period_us:9_300_001 ~slice_us:1000 ]
+
+let full_task =
+  [ p ~period_us:9_223_372_036_854_775 ~slice_us:9_223_372_036_854_775 ]
+
+let ledger_verdicts ~policy ~overhead_ns tasks =
+  List.map
+    (fun admission ->
+      let a =
+        Admission.create ~overhead_ns
+          { Config.default with Config.policy; admission }
+      in
+      List.fold_left
+        (fun acc c ->
+          Admission.worse acc
+            (Admission.request a ~now:0L ~old_constr:(Constraints.aperiodic ()) c))
+        (Admission.Admitted { headroom = infinity })
+        tasks)
+    (match policy with
+    | Config.Edf -> [ Config.Policy_bound; Config.Hyperperiod_sim ]
+    | Config.Rm -> [ Config.Policy_bound ])
+
+let test_overflow_verdicts () =
+  List.iter
+    (fun policy ->
+      let name = Config.policy_name policy in
+      (* Wrapping lcm: a verdict from the oracle and every ledger mode. *)
+      List.iter
+        (fun ts -> check_ok (name ^ " wrapping lcm") ts (Oracle.analyze ts))
+        [ production ~policy wrapping_lcm; raw ~policy wrapping_lcm ];
+      ignore (ledger_verdicts ~policy ~overhead_ns:phi_overhead wrapping_lcm);
+      (* 100% task under the production view: the overhead puts it over
+         capacity in the oracle and in every ledger mode. *)
+      let ts = production ~policy full_task in
+      let r = Oracle.analyze ts in
+      Alcotest.(check bool) (name ^ ": 100% task rejected") false
+        (Admission.admitted r.Oracle.verdict);
+      check_ok (name ^ " 100% task") ts r;
+      List.iter
+        (fun v ->
+          Alcotest.(check bool) (name ^ ": ledger rejects 100% task") false
+            (Admission.admitted v))
+        (ledger_verdicts ~policy ~overhead_ns:phi_overhead full_task);
+      (* Raw view: zero overhead on a full CPU, exactly feasible. *)
+      let ts = raw ~policy full_task in
+      let r = Oracle.analyze ts in
+      Alcotest.(check (option (float 1e-9))) (name ^ ": raw 100% task")
+        (Some 0.) (Admission.headroom r.Oracle.verdict);
+      check_ok (name ^ " raw 100% task") ts r)
+    [ Config.Edf; Config.Rm ]
+
 (* Oracle/simulator/ledger agreement corridor, both policies. The CI
    `admit` job runs the 200-set corpus; this keeps a smaller one in every
    `dune runtest`. *)
@@ -442,6 +603,11 @@ let suite =
     Alcotest.test_case "rejection names stable" `Quick
       test_rejection_names_stable;
     to_alcotest prop_certificates_replay;
+    to_alcotest prop_closed_form_matches_scan;
+    Alcotest.test_case "long hyperperiod names its demand" `Quick
+      test_long_hyperperiod_reason;
+    Alcotest.test_case "Int64 overflow gives verdicts" `Quick
+      test_overflow_verdicts;
     Alcotest.test_case "cross-validation EDF" `Slow
       (test_cross_validation Config.Edf);
     Alcotest.test_case "cross-validation RM" `Slow

@@ -151,6 +151,20 @@ let prop_plan_valid =
       | Error _ -> true (* rejection is always sound *)
       | Ok t -> Cyclic.validate t = Ok ())
 
+(* Periods 2^33+1 ns and 2^31+1 ns: their product wraps Int64, which
+   used to yield a 3.58 s "hyperperiod" that placed job a zero times and
+   still validated. The true lcm (~6.1e18 ns) is far past any frame
+   table; coprime periods near 2^61 overflow Int64 outright. *)
+let test_plan_wrapping_hyperperiod () =
+  let big k = Int64.add (Int64.shift_left 1L k) in
+  List.iter
+    (fun (pa, pb) ->
+      match Cyclic.plan [ job "a" pa (Time.us 1); job "b" pb (Time.us 1) ] with
+      | Error Cyclic.No_valid_frame -> ()
+      | Error e -> Alcotest.failf "expected no valid frame, got %a" Cyclic.pp_error e
+      | Ok _ -> Alcotest.fail "planned a table over a wrapped hyperperiod")
+    [ (big 33 1L, big 31 1L); (big 61 1L, big 61 3L) ]
+
 let suite =
   [
     Alcotest.test_case "plan harmonic set" `Quick test_plan_harmonic;
@@ -160,5 +174,7 @@ let suite =
     Alcotest.test_case "executive perfectly periodic" `Quick test_executive_deterministic_periods;
     Alcotest.test_case "executive rejected when infeasible" `Quick test_executive_rejected_when_infeasible;
     Alcotest.test_case "non-harmonic periods" `Quick test_non_harmonic_set;
+    Alcotest.test_case "wrapping hyperperiod has no frame" `Quick
+      test_plan_wrapping_hyperperiod;
     QCheck_alcotest.to_alcotest prop_plan_valid;
   ]

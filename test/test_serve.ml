@@ -158,6 +158,93 @@ let test_parse_request_errors () =
   | Error (P.Bad_spec { index = 1; _ }) -> ()
   | _ -> Alcotest.fail "malformed spec must carry its index"
 
+(* Fields past Int64.max_int / 1000 us would wrap on conversion to ns
+   and be misreported ("slice exceeds period", "non-positive period");
+   they are refused up front, and the maximum itself converts exactly. *)
+let test_parse_spec_range () =
+  List.iter
+    (fun tok ->
+      match P.parse_spec tok with
+      | Error msg ->
+        Alcotest.(check bool)
+          (tok ^ " names the maximum")
+          true
+          (String.ends_with ~suffix:(string_of_int P.max_spec_us) msg)
+      | Ok _ -> Alcotest.failf "%s should not parse" tok)
+    [ "P:18446744073709552:1"; "P:4611686018427387903:1"; "P:1000:9223372036854776";
+      "S:9223372036854776:1000" ];
+  expect_code "wrapping period" "query P:18446744073709552:1" "bad-spec";
+  let max = string_of_int P.max_spec_us in
+  match P.parse_spec ("P:" ^ max ^ ":" ^ max) with
+  | Ok (Constraints.Periodic { period; slice; _ }) ->
+    Alcotest.(check int64) "period at the maximum" 9_223_372_036_854_775_000L period;
+    Alcotest.(check int64) "slice at the maximum" 9_223_372_036_854_775_000L slice
+  | _ -> Alcotest.fail "the maximum itself must parse"
+
+(* Spec tokens straight from the grammar, with fields anywhere up to the
+   parser maximum: every one parses, and no analysis of the resulting
+   set raises — the oracle under both policies and views (certificates
+   replay) and the ledger under EDF/RM x both admission modes. *)
+let gen_spec_token =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (2, int_range 1 1000);
+          (2, int_range 1 P.max_spec_us);
+          (1, map (fun k -> P.max_spec_us - k) (int_range 0 1000));
+          (1, map (fun e -> 1 lsl e) (int_range 0 53));
+        ]
+    in
+    frequency
+      [
+        (5, map2 (Printf.sprintf "P:%d:%d") value value);
+        (2, map2 (Printf.sprintf "S:%d:%d") value value);
+        (1, return "A");
+      ])
+
+let prop_grammar_extremes_analyze =
+  QCheck.Test.make ~name:"grammar-extreme specs always analyze" ~count:300
+    QCheck.(make ~print:(String.concat " ") Gen.(list_size (int_range 1 5) gen_spec_token))
+    (fun toks ->
+      let tasks =
+        List.map
+          (fun tok ->
+            match P.parse_spec tok with
+            | Ok c -> c
+            | Error msg -> QCheck.Test.fail_reportf "%s rejected: %s" tok msg)
+          toks
+      in
+      let module T = Hrt_analysis.Taskset in
+      let module O = Hrt_analysis.Oracle in
+      let overhead_ns = T.overhead_of_platform Hrt_hw.Platform.phi in
+      List.for_all
+        (fun policy ->
+          List.iter
+            (fun ts ->
+              match O.check ts (O.analyze ts) with
+              | Ok () -> ()
+              | Error msg -> QCheck.Test.fail_reportf "replay: %s" msg)
+            [
+              T.production_view ~policy ~platform:Hrt_hw.Platform.phi tasks;
+              T.raw_view ~policy tasks;
+            ];
+          List.iter
+            (fun admission ->
+              let a =
+                Admission.create ~overhead_ns
+                  { Config.default with Config.policy; admission }
+              in
+              List.iter
+                (fun c ->
+                  ignore
+                    (Admission.request a ~now:0L
+                       ~old_constr:(Constraints.aperiodic ()) c))
+                tasks)
+            [ Config.Policy_bound; Config.Hyperperiod_sim ];
+          true)
+        [ Config.Edf; Config.Rm ])
+
 let prop_parse_total =
   QCheck.Test.make ~name:"request/reply parsers total" ~count:500
     QCheck.(string_of_size (QCheck.Gen.int_bound 120))
@@ -333,6 +420,22 @@ let test_protocol_error_over_wire () =
             Alcotest.(check int) "closed after error" 0
               (Unix.read fd buf 0 1024)))
 
+(* A set whose lcm product wraps Int64 used to raise inside the
+   analysis and take the daemon down; it now gets a verdict, and the
+   daemon keeps answering. *)
+let test_overflow_query_survives () =
+  with_server ~cfg:quiet_cfg (fun addr _ ->
+      let specs = [ "P:1000000:1000"; "P:9300001:1000" ] in
+      (match must (Client.call addr ("query " ^ String.concat " " specs)) with
+      | P.Verdicts [ _ ] as r ->
+        Alcotest.(check string) "server verdict = direct oracle"
+          (P.render_reply (P.Verdicts [ direct_verdict specs ]))
+          (P.render_reply r)
+      | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r));
+      match must (Client.call addr "stats") with
+      | P.Stats_reply _ -> ()
+      | r -> Alcotest.failf "stats after overflow: %s" (P.render_reply r))
+
 (* Drain under load: pipeline a burst, drain mid-flight, and every
    accepted request still gets exactly one reply (served, or shed with
    the stable overloaded verdict) before the server closes. *)
@@ -397,7 +500,9 @@ let suite =
     to_alcotest prop_frame_roundtrip;
     Alcotest.test_case "parse request" `Quick test_parse_request;
     Alcotest.test_case "parse request errors" `Quick test_parse_request_errors;
+    Alcotest.test_case "spec range check" `Quick test_parse_spec_range;
     to_alcotest prop_parse_total;
+    to_alcotest prop_grammar_extremes_analyze;
     Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
     Alcotest.test_case "query matches oracle" `Quick test_query_matches_oracle;
     Alcotest.test_case "batch verdicts in order" `Quick
@@ -409,6 +514,8 @@ let suite =
       test_deadline_expired;
     Alcotest.test_case "protocol errors over the wire" `Quick
       test_protocol_error_over_wire;
+    Alcotest.test_case "overflowing query keeps the daemon up" `Quick
+      test_overflow_query_survives;
     Alcotest.test_case "drain under load" `Quick test_drain_under_load;
     Alcotest.test_case "drain verb stops server" `Quick
       test_drain_verb_stops_server;
