@@ -57,5 +57,23 @@ echo "== admission serving smoke =="
 # socket; warm replies must be byte-identical to cold. The full-size
 # regression gate is CI's serve job.
 dune exec bin/hrt_sim.exe -- servebench --quick --out /tmp/BENCH_serve_quick.json
+# An explicit --jobs 1 must boot a sequential daemon, not the default 4;
+# the boot line names the job count. The client retries with backoff
+# until the daemon has bound its socket, then drains it.
+dune build bin/hrt_sim.exe
+hrt_sim=_build/default/bin/hrt_sim.exe
+sock=/tmp/hrt-check-$$.sock
+"$hrt_sim" serve --jobs 1 --socket "$sock" >/tmp/hrt_serve_jobs1.txt 2>&1 &
+daemon=$!
+status=0
+"$hrt_sim" serve --client --socket "$sock" 'query P:1000:300' drain || status=$?
+[ "$status" -eq 0 ] || kill "$daemon"
+wait "$daemon" || status=$?
+cat /tmp/hrt_serve_jobs1.txt
+if [ "$status" -ne 0 ] ||
+  ! grep -q "^listening on $sock (jobs=1)\$" /tmp/hrt_serve_jobs1.txt; then
+  echo "check.sh: serve --jobs 1 did not boot one job and drain" >&2
+  exit 1
+fi
 
 echo "check.sh: all gates passed"

@@ -1045,8 +1045,9 @@ let serve_cmd =
          admit) and are answered with one $(b,admitted)/$(b,rejected) \
          verdict per set; $(b,stats) reports serving and cache counters; \
          $(b,drain) asks the server to finish and exit. Requests queue in \
-         a bounded FIFO drained in batches across $(b,--jobs) worker \
-         domains through the memoized admission service.";
+         a bounded FIFO drained in batches through the memoized admission \
+         service: cache hits are answered on the serving domain, and a \
+         batch's misses fan across $(b,--jobs) worker domains.";
       `P
         "Backpressure is admission-themed: when the queue is full new \
          queries are answered $(b,rejected overloaded) immediately (never \
@@ -1127,6 +1128,16 @@ let serve_cmd =
       value & opt int 5
       & info [ "attempts" ] ~docv:"N" ~doc:"Client retry budget per request.")
   in
+  let jobs =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:
+            "Worker domains a dispatch batch's cache misses fan across \
+             (hits are always answered on the loop's own domain). \
+             Defaults to 4; $(b,1) serves sequentially.")
+  in
   let run policy platform raw jobs socket tcp client requests max_queue
       max_batch deadline_ms timeout_ms attempts trace_out metrics_out =
     if client then begin
@@ -1156,8 +1167,8 @@ let serve_cmd =
     end
     else begin
       let jobs =
-        if jobs > 1 then jobs
-        else Hrt_serve.Server.default_config.Hrt_serve.Server.jobs
+        Option.value jobs
+          ~default:Hrt_serve.Server.default_config.Hrt_serve.Server.jobs
       in
       let cfg =
         {
@@ -1179,10 +1190,12 @@ let serve_cmd =
       let server =
         Hrt_serve.Server.create ?tcp_port:tcp ?sink ?trace_out ~socket cfg
       in
+      let jobs = Hrt_serve.Server.jobs server in
       (match Hrt_serve.Server.tcp_port server with
       | Some port ->
-        Printf.printf "listening on %s and 127.0.0.1:%d\n%!" socket port
-      | None -> Printf.printf "listening on %s\n%!" socket);
+        Printf.printf "listening on %s and 127.0.0.1:%d (jobs=%d)\n%!" socket
+          port jobs
+      | None -> Printf.printf "listening on %s (jobs=%d)\n%!" socket jobs);
       Hrt_serve.Server.run ~install_sigterm:true server;
       match (metrics_out, sink) with
       | Some path, Some sink ->
@@ -1193,7 +1206,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ policy_term $ platform_term $ raw_term $ jobs_term $ socket
+      const run $ policy_term $ platform_term $ raw_term $ jobs $ socket
       $ tcp $ client $ requests $ max_queue $ max_batch $ deadline_ms
       $ timeout_ms $ attempts $ trace_out_term $ metrics_out_term)
 

@@ -44,7 +44,7 @@ let create ?(shards = 8) ?(capacity = 1024) () =
     evictions = Atomic.make 0;
   }
 
-(* Shard choice folds the fingerprint's own hex digits instead of
+(* Shard choice folds the fingerprint's own bytes instead of
    [Hashtbl.hash], so the mapping is fixed by the key alone — stable
    across runs, domains, and compiler versions. *)
 let shard_of t key =
@@ -129,11 +129,48 @@ let query t ts =
   let s = shard_of t key in
   query_key t s key ts
 
+(* Hits are answered on the calling domain: fingerprint, shard, one
+   lookup under the shard lock. Only the distinct missed keys go on to
+   [query_key], fanned over the pool ([Par.map] spawns nothing for fewer
+   than two), so an all-hit batch never leaves this domain. A repeat of a
+   key the batch already analyzes is handed that result and counts a hit,
+   as a single-flight waiter would; hits, misses and inserts therefore
+   depend on the batch and the cache it met, never on the job count. *)
 let batch ?pool t tasksets =
-  match pool with
-  | Some pool when Par.Pool.jobs pool > 1 ->
-    Par.map_list pool (query t) tasksets
-  | _ -> List.map (query t) tasksets
+  let missed = Hashtbl.create 8 in
+  let todo = ref [] in
+  let answers =
+    List.map
+      (fun ts ->
+        let key = Taskset.fingerprint ts in
+        let s = shard_of t key in
+        let cached =
+          Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.table key)
+        in
+        match cached with
+        | Some r ->
+          Atomic.incr t.hits;
+          Either.Left r
+        | None -> (
+          match Hashtbl.find_opt missed key with
+          | Some i ->
+            Atomic.incr t.hits;
+            Either.Right i
+          | None ->
+            let i = Hashtbl.length missed in
+            Hashtbl.replace missed key i;
+            todo := (s, key, ts) :: !todo;
+            Either.Right i))
+      tasksets
+  in
+  let todo = Array.of_list (List.rev !todo) in
+  let analyze (s, key, ts) = query_key t s key ts in
+  let computed =
+    match pool with
+    | Some pool -> Par.map pool analyze todo
+    | None -> Array.map analyze todo
+  in
+  List.map (Either.fold ~left:Fun.id ~right:(Array.get computed)) answers
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -27,9 +27,14 @@ val query : t -> Taskset.t -> Oracle.result
     cache statistics are identical at any job count. *)
 
 val batch : ?pool:Par.Pool.t -> t -> Taskset.t list -> Oracle.result list
-(** [query] over the list, in submission order. With a [pool] the queries
-    fan across its domains ({!Hrt_par.Par.map_list}); results are
-    order-preserving and identical to the sequential run. *)
+(** Results for the list, in submission order. Hits are answered first,
+    on the calling domain (fingerprint, shard, one locked lookup); only
+    the distinct missed fingerprints then go through [query]'s
+    single-flight path, fanned across the [pool]'s domains
+    ({!Hrt_par.Par.map}) when at least two remain — an all-hit batch
+    spawns no domain. A repeat of a missed fingerprint within the batch
+    is served the same analysis and counts a hit. Results, hits, misses,
+    entries and evictions are identical at any job count. *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

@@ -47,37 +47,59 @@ let raw_view ~policy tasks =
       }
     ~overhead_ns:0L tasks
 
-(* Analysis-relevant view of one task. Periodic phases are dropped: every
-   test assumes the synchronous (critical-instant) release pattern, which
-   dominates any phasing. Sporadic deadlines are folded to the laxity
-   window so two requests with equal demand shape hit the same cache
-   line regardless of wall-clock anchoring. *)
-let task_token = function
-  | Constraints.Aperiodic _ -> "A"
+(* Analysis-relevant view of one task as (kind, a, b). Periodic phases are
+   dropped: every test assumes the synchronous (critical-instant) release
+   pattern, which dominates any phasing. Sporadic deadlines are folded to
+   the laxity window so two requests with equal demand shape hit the same
+   cache line regardless of wall-clock anchoring. *)
+type task_key = { kind : int; a : Time.ns; b : Time.ns }
+
+let task_key = function
+  | Constraints.Aperiodic _ -> { kind = 0; a = 0L; b = 0L }
   | Constraints.Periodic { period; slice; _ } ->
-    Printf.sprintf "P:%Ld:%Ld" period slice
+    { kind = 1; a = period; b = slice }
   | Constraints.Sporadic { phase; size; deadline; _ } ->
-    Printf.sprintf "S:%Ld:%Ld" size Time.(deadline - phase)
+    { kind = 2; a = size; b = Time.(deadline - phase) }
 
-let canonical t =
+let compare_key x y =
+  match Int.compare x.kind y.kind with
+  | 0 -> (
+    match Int64.compare x.a y.a with 0 -> Int64.compare x.b y.b | c -> c)
+  | c -> c
+
+(* Fixed-width binary encoding: the analysis-relevant config fields (the
+   policy name length-prefixed, floats as their exact bits), then the
+   sorted task keys at 17 bytes each — injective, so two sets share a
+   digest only when they agree on every field the analysis reads. *)
+let fingerprint t =
   let cfg = t.config in
-  let admission_tag =
-    match cfg.Config.admission with
-    | Config.Policy_bound -> "bound"
-    | Config.Hyperperiod_sim -> "sim"
-  in
-  let header =
-    Printf.sprintf "%s:%s:%.9f:%.9f:%.9f:%b:%b:%Ld:%Ld:%Ld"
-      (Config.policy_name cfg.Config.policy)
-      admission_tag cfg.Config.util_limit cfg.Config.sporadic_reservation
-      cfg.Config.aperiodic_reservation cfg.Config.admission_control
-      cfg.Config.strict_reservations cfg.Config.min_period
-      cfg.Config.min_slice t.overhead_ns
-  in
-  let tokens = List.sort String.compare (List.map task_token t.tasks) in
-  String.concat ";" (header :: tokens)
-
-let fingerprint t = Digest.to_hex (Digest.string (canonical t))
+  let keys = List.sort compare_key (List.map task_key t.tasks) in
+  let policy = Config.policy_name cfg.Config.policy in
+  let b = Buffer.create (64 + (17 * List.length keys)) in
+  let byte n = Buffer.add_uint8 b n in
+  let flag v = byte (Bool.to_int v) in
+  let bits f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  byte (String.length policy);
+  Buffer.add_string b policy;
+  byte
+    (match cfg.Config.admission with
+    | Config.Policy_bound -> 0
+    | Config.Hyperperiod_sim -> 1);
+  bits cfg.Config.util_limit;
+  bits cfg.Config.sporadic_reservation;
+  bits cfg.Config.aperiodic_reservation;
+  flag cfg.Config.admission_control;
+  flag cfg.Config.strict_reservations;
+  Buffer.add_int64_le b cfg.Config.min_period;
+  Buffer.add_int64_le b cfg.Config.min_slice;
+  Buffer.add_int64_le b t.overhead_ns;
+  List.iter
+    (fun k ->
+      byte k.kind;
+      Buffer.add_int64_le b k.a;
+      Buffer.add_int64_le b k.b)
+    keys;
+  Digest.string (Buffer.contents b)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%d tasks under %s (overhead %Ldns):@,%a@]"

@@ -41,13 +41,13 @@ val raw_view : policy:Config.policy -> Constraints.t list -> t
     reservations off) and zero overhead. A rejection with an exact
     certificate under this view means no schedule exists at all. *)
 
-val canonical : t -> string
-(** A canonical textual form: analysis-relevant configuration fields
-    followed by the multiset of per-task tokens in sorted order. Two task
-    sets that differ only by task order (or by analysis-irrelevant fields
-    such as periodic phases) have equal canonical forms. *)
-
 val fingerprint : t -> string
-(** Hex digest of {!canonical} — the {!Service} cache key. *)
+(** The {!Service} cache key: the raw 16-byte MD5 digest of a fixed-width
+    binary encoding of the analysis-relevant configuration fields (floats
+    by their exact bits) followed by the per-task [(kind, a, b)] keys in
+    sorted order — periodic [(period, slice)], sporadic
+    [(size, deadline - phase)], aperiodic zeros. Two task sets that
+    differ only by task order, by periodic phases, or by sporadic
+    anchoring (same size and laxity window) share a fingerprint. *)
 
 val pp : Format.formatter -> t -> unit

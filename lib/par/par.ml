@@ -67,5 +67,3 @@ let map pool f arr =
         | Some y -> y
         | None -> assert false (* every index < n was claimed exactly once *))
   end
-
-let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))

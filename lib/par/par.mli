@@ -30,6 +30,3 @@ val map : Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 
     If any [f] raises, remaining unstarted jobs are abandoned, all workers
     are joined, and the first failure is re-raised with its backtrace. *)
-
-val map_list : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists, preserving order. *)

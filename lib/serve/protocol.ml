@@ -58,17 +58,23 @@ let frame payload =
 module Decoder = struct
   (* hrt1<sp> + at most 10 length digits + newline. *)
   let max_header = String.length magic + 1 + 10 + 1
+  let tag = magic ^ " "
 
   type state = Header | Body of int | Failed of error
 
+  (* Unread bytes are [acc] from [pos] on. Consuming a frame only moves
+     [pos]; the consumed prefix is dropped once it passes half of [acc],
+     so each byte is copied a bounded number of times however many
+     frames one read delivers. *)
   type t = {
-    mutable acc : Buffer.t;
+    acc : Buffer.t;
+    mutable pos : int;
     mutable state : state;
     max_frame : int;
   }
 
   let create ?(max_frame = default_max_frame) () =
-    { acc = Buffer.create 256; state = Header; max_frame }
+    { acc = Buffer.create 256; pos = 0; state = Header; max_frame }
 
   let feed t b off len =
     match t.state with
@@ -80,11 +86,16 @@ module Decoder = struct
     | Failed _ -> ()
     | Header | Body _ -> Buffer.add_string t.acc s
 
+  let available t = Buffer.length t.acc - t.pos
+
   let consume t n =
-    let rest = Buffer.sub t.acc n (Buffer.length t.acc - n) in
-    let acc = Buffer.create (Stdlib.max 256 (String.length rest)) in
-    Buffer.add_string acc rest;
-    t.acc <- acc
+    t.pos <- t.pos + n;
+    if 2 * t.pos > Buffer.length t.acc then begin
+      let rest = Buffer.sub t.acc t.pos (available t) in
+      Buffer.clear t.acc;
+      Buffer.add_string t.acc rest;
+      t.pos <- 0
+    end
 
   let fail t e =
     t.state <- Failed e;
@@ -93,12 +104,12 @@ module Decoder = struct
   (* The header is complete when its newline is in the buffer; anything
      longer than [max_header] without one has lost framing. *)
   let try_header t =
-    let len = Buffer.length t.acc in
+    let len = available t in
     let limit = Stdlib.min len max_header in
     let nl = ref (-1) in
     (try
        for i = 0 to limit - 1 do
-         if Buffer.nth t.acc i = '\n' then begin
+         if Buffer.nth t.acc (t.pos + i) = '\n' then begin
            nl := i;
            raise Exit
          end
@@ -106,16 +117,15 @@ module Decoder = struct
      with Exit -> ());
     if !nl < 0 then
       if len >= max_header then
-        let prefix = Buffer.sub t.acc 0 (Stdlib.min len max_header) in
+        let prefix = Buffer.sub t.acc t.pos (Stdlib.min len max_header) in
         if
-          len >= String.length magic + 1
-          && String.sub prefix 0 (String.length magic + 1) <> magic ^ " "
+          len >= String.length tag
+          && String.sub prefix 0 (String.length tag) <> tag
         then fail t (Bad_magic prefix)
         else fail t (Bad_length prefix)
       else `Await
     else begin
-      let header = Buffer.sub t.acc 0 !nl in
-      let tag = magic ^ " " in
+      let header = Buffer.sub t.acc t.pos !nl in
       if
         String.length header < String.length tag
         || String.sub header 0 (String.length tag) <> tag
@@ -147,9 +157,9 @@ module Decoder = struct
       | `Error e -> `Error e
       | `Header -> next t)
     | Body n ->
-      if Buffer.length t.acc < n then `Await
+      if available t < n then `Await
       else begin
-        let payload = Buffer.sub t.acc 0 n in
+        let payload = Buffer.sub t.acc t.pos n in
         consume t n;
         t.state <- Header;
         `Frame payload
@@ -158,10 +168,10 @@ module Decoder = struct
   let eof t =
     match t.state with
     | Failed e -> `Error e
-    | Body n -> `Error (Truncated { wanted = n; got = Buffer.length t.acc })
+    | Body n -> `Error (Truncated { wanted = n; got = available t })
     | Header ->
-      if Buffer.length t.acc = 0 then `Clean
-      else `Error (Truncated { wanted = 0; got = Buffer.length t.acc })
+      if available t = 0 then `Clean
+      else `Error (Truncated { wanted = 0; got = available t })
 end
 
 (* ---- requests ---- *)

@@ -154,6 +154,7 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
   t
 
 let tcp_port t = t.bound_tcp
+let jobs t = Par.Pool.jobs t.pool
 let request_drain t = Atomic.set t.drain true
 
 (* ---- stats ---- *)
@@ -271,8 +272,9 @@ and enqueue t conn ~verb ~deadline_ms sets =
   end
 
 (* One dispatch batch: pop up to [max_batch] requests, answer the ones
-   whose deadline already passed, fan the rest through the memoized
-   service on the worker pool, and fill the reply slots. *)
+   whose deadline already passed, send the rest through the memoized
+   service (hits answered here, misses fanned over the worker pool), and
+   fill the reply slots. *)
 let dispatch t =
   if not (Queue.is_empty t.queue) then begin
     let batch = ref [] in

@@ -4,9 +4,10 @@
     {!Hrt_analysis.Service}: clients connect over a Unix-domain socket
     (and optionally TCP on localhost), speak {!Protocol} frames, and get
     one reply per request. Requests land in a bounded FIFO queue drained
-    in batches through [Service.batch], fanning analyses across a
+    in batches through [Service.batch]: cache hits are answered on the
+    serving domain, and only a batch's misses fan across a
     {!Hrt_par.Par.Pool} — so a burst of distinct task sets uses every
-    worker domain while repeats are cache hits.
+    worker domain while a warm batch never leaves the loop's domain.
 
     The server applies admission-themed backpressure to {e itself}
     rather than stalling or dropping connections:
@@ -34,7 +35,7 @@ type config = {
   policy : Config.policy;
   platform : Hrt_hw.Platform.t;
   raw : bool;  (** analyze the raw-feasibility view instead of production *)
-  jobs : int;  (** worker-domain fan-out for each dispatch batch *)
+  jobs : int;  (** worker-domain fan-out for each dispatch batch's misses *)
   max_queue : int;  (** queued requests beyond which queries are shed *)
   max_batch : int;  (** requests served per dispatch batch *)
   max_frame : int;  (** per-frame payload cap handed to the {!Protocol.Decoder} *)
@@ -67,6 +68,10 @@ val create :
 
 val tcp_port : t -> int option
 (** The bound TCP port, once created (resolves an ephemeral request). *)
+
+val jobs : t -> int
+(** Worker domains the dispatch batches fan misses across: [config.jobs]
+    clamped to the {!Hrt_par.Par.Pool} range. *)
 
 val request_drain : t -> unit
 (** Ask the running server to drain; safe from any domain or from a

@@ -197,7 +197,21 @@ let test_fingerprint_permutation () =
   Alcotest.(check bool) "different set differs" true (f [ a; b ] <> f [ a; c ]);
   let g policy = Taskset.fingerprint (production ~policy [ a; b ]) in
   Alcotest.(check bool) "policy is part of the key" true
-    (g Config.Edf <> g Config.Rm)
+    (g Config.Edf <> g Config.Rm);
+  Alcotest.(check int) "raw 16-byte digest" 16 (String.length (f [ a ]));
+  Alcotest.(check string) "periodic phase ignored" (f [ a; b ])
+    (f [ Constraints.with_phase a (Time.us 40); b ]);
+  (* The one departure from the textual key: float fields compare by
+     their exact bits, not rounded to 9 decimals. *)
+  let limit util_limit =
+    Taskset.make ~config:{ Config.default with Config.util_limit } [ a ]
+  in
+  Alcotest.(check string) "old key rounds floats"
+    (Old_canonical.canonical (limit 0.9))
+    (Old_canonical.canonical (limit (0.9 +. 1e-12)));
+  Alcotest.(check bool) "fingerprint keeps float bits" true
+    (Taskset.fingerprint (limit 0.9)
+    <> Taskset.fingerprint (limit (0.9 +. 1e-12)))
 
 (* ---- service cache ---- *)
 
@@ -297,27 +311,51 @@ let test_cache_single_flight () =
   Alcotest.(check int) "hammered key held one eviction slot" 1
     (Service.stats svc).Service.evictions
 
-(* The single-flight accounting makes cache stats independent of the job
-   count: a corpus with duplicates sees the same hit/miss totals at
-   jobs=1 and jobs=4. *)
+(* Cache stats are independent of the job count: a corpus with
+   duplicates, and a batch mixing warm hits, repeated misses and distinct
+   misses, see the same results, hits, misses, entries and evictions at
+   jobs=1 and jobs=4 — also in one shard of capacity 2, where the hits
+   answered first are evicted by the misses analyzed after them. *)
 let test_cache_stats_job_invariant () =
   let base = corpus ~n:12 ~seed:17L in
-  let sets = base @ base @ base in
-  let run jobs =
-    let svc = Service.create () in
+  let warm = corpus ~n:2 ~seed:23L in
+  let mixed =
+    match (warm, corpus ~n:3 ~seed:29L) with
+    | [ a; b ], [ x; y; z ] -> [ a; x; b; x; y; a; z; x ]
+    | _ -> Alcotest.fail "corpus size"
+  in
+  let run ?shards ?capacity jobs batches =
+    let svc = Service.create ?shards ?capacity () in
     let results =
-      if jobs > 1 then
-        Service.batch ~pool:(Hrt_par.Par.Pool.create ~jobs) svc sets
-      else Service.batch svc sets
+      List.map
+        (fun sets ->
+          if jobs > 1 then
+            Service.batch ~pool:(Hrt_par.Par.Pool.create ~jobs) svc sets
+          else Service.batch svc sets)
+        batches
     in
     (results, Service.stats svc)
   in
-  let r1, s1 = run 1 in
-  let r4, s4 = run 4 in
-  Alcotest.(check bool) "results identical" true (r1 = r4);
-  Alcotest.(check int) "same misses" s1.Service.misses s4.Service.misses;
-  Alcotest.(check int) "same hits" s1.Service.hits s4.Service.hits;
-  Alcotest.(check int) "same entries" s1.Service.entries s4.Service.entries
+  let same ?shards ?capacity name batches =
+    let r1, s1 = run ?shards ?capacity 1 batches in
+    let r4, s4 = run ?shards ?capacity 4 batches in
+    let check what a b = Alcotest.(check int) (name ^ ": same " ^ what) a b in
+    Alcotest.(check bool) (name ^ ": results identical") true (r1 = r4);
+    check "misses" s1.Service.misses s4.Service.misses;
+    check "hits" s1.Service.hits s4.Service.hits;
+    check "entries" s1.Service.entries s4.Service.entries;
+    check "evictions" s1.Service.evictions s4.Service.evictions;
+    s1
+  in
+  let s = same "duplicates" [ base @ base @ base ] in
+  Alcotest.(check (pair int int)) "one miss per distinct set" (12, 24)
+    (s.Service.misses, s.Service.hits);
+  ignore (same "hit/miss mix" [ warm; mixed ]);
+  (* a, b, a hit before x, y, z are analyzed (the repeated x's are
+     handed x's result); the three inserts then evict three times. *)
+  let s = same ~shards:1 ~capacity:2 "FIFO-full shard" [ warm; mixed ] in
+  Alcotest.(check (list int)) "hits-first counts" [ 5; 5; 2; 3 ]
+    Service.[ s.misses; s.hits; s.entries; s.evictions ]
 
 let test_service_probes () =
   let sink = Hrt_obs.Sink.create ~trace:false () in
@@ -404,6 +442,142 @@ let prop_certificates_replay =
       match Oracle.check ts (Oracle.analyze ts) with
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "certificate replay: %s" msg)
+
+(* ---- the binary fingerprint against the textual canonical form ---- *)
+
+(* Small palettes, so independently drawn sets collide now and then and
+   every float field moves in steps the 9-decimal rendering resolves. *)
+let gen_task =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun prio -> Constraints.aperiodic ~prio ()) (int_bound 3));
+        ( 4,
+          let* period_us = oneofl [ 100; 250; 1000 ] in
+          let* slice_us = oneofl [ 10; 50; 100 ] in
+          let* phase_us = int_bound 500 in
+          return
+            (Constraints.periodic ~phase:(Time.us phase_us)
+               ~period:(Time.us period_us) ~slice:(Time.us slice_us) ()) );
+        ( 2,
+          let* size_us = oneofl [ 20; 50 ] in
+          let* phase_us = int_bound 500 in
+          let* laxity_us = oneofl [ 500; 1000 ] in
+          return
+            (Constraints.sporadic ~phase:(Time.us phase_us)
+               ~size:(Time.us size_us)
+               ~deadline:(Time.us (phase_us + laxity_us))
+               ()) );
+      ])
+
+(* One draw per analysis-relevant config field (plus overhead). *)
+let config_fields =
+  QCheck.Gen.
+    [
+      map
+        (fun policy c -> { c with Config.policy })
+        (oneofl [ Config.Edf; Config.Rm ]);
+      map
+        (fun admission c -> { c with Config.admission })
+        (oneofl [ Config.Policy_bound; Config.Hyperperiod_sim ]);
+      map
+        (fun util_limit c -> { c with Config.util_limit })
+        (oneofl [ 0.79; 0.99; 1.0 ]);
+      map
+        (fun sporadic_reservation c -> { c with Config.sporadic_reservation })
+        (oneofl [ 0.; 0.1 ]);
+      map
+        (fun aperiodic_reservation c -> { c with Config.aperiodic_reservation })
+        (oneofl [ 0.; 0.1 ]);
+      map (fun admission_control c -> { c with Config.admission_control }) bool;
+      map
+        (fun strict_reservations c -> { c with Config.strict_reservations })
+        bool;
+      map
+        (fun min_period c -> { c with Config.min_period })
+        (oneofl [ Time.us 2; Time.us 10 ]);
+      map
+        (fun min_slice c -> { c with Config.min_slice })
+        (oneofl [ Time.ns 500; Time.us 1 ]);
+    ]
+
+let gen_fingerprint_set =
+  QCheck.Gen.(
+    let* edits = flatten_l config_fields in
+    let* overhead_ns = oneofl [ 0L; phi_overhead ] in
+    let* tasks = list_size (int_range 1 4) gen_task in
+    let config = List.fold_left (fun c edit -> edit c) Config.default edits in
+    return (Taskset.make ~config ~overhead_ns tasks))
+
+let with_tasks (ts : Taskset.t) tasks =
+  Taskset.make ~config:ts.Taskset.config ~overhead_ns:ts.Taskset.overhead_ns
+    tasks
+
+(* Moves that keep the key (permutation, new periodic phases, sporadics
+   re-anchored with the same laxity, other aperiodic priorities) and
+   moves that usually change it (one config field, the overhead, one
+   task replaced, a task added, an independent set). *)
+let reshape ts =
+  QCheck.Gen.(
+    let tasks = ts.Taskset.tasks in
+    let rephase = function
+      | Constraints.Periodic _ as c ->
+        map (fun us -> Constraints.with_phase c (Time.us us)) (int_bound 500)
+      | Constraints.Sporadic { phase; size; deadline; aper_prio } ->
+        map
+          (fun us ->
+            let shift = Time.us us in
+            Constraints.sporadic ~phase:Time.(phase + shift) ~size
+              ~deadline:Time.(deadline + shift) ~aper_prio ())
+          (int_bound 500)
+      | Constraints.Aperiodic _ ->
+        map (fun prio -> Constraints.aperiodic ~prio ()) (int_bound 3)
+    in
+    frequency
+      [
+        (3, map (with_tasks ts) (shuffle_l tasks));
+        (3, map (with_tasks ts) (flatten_l (List.map rephase tasks)));
+        ( 1,
+          map
+            (fun edit ->
+              Taskset.make ~config:(edit ts.Taskset.config)
+                ~overhead_ns:ts.Taskset.overhead_ns tasks)
+            (oneof config_fields) );
+        ( 1,
+          map
+            (fun overhead_ns ->
+              Taskset.make ~config:ts.Taskset.config ~overhead_ns tasks)
+            (oneofl [ 0L; phi_overhead ]) );
+        ( 1,
+          let* i = int_bound (List.length tasks - 1) in
+          let* c = gen_task in
+          return
+            (with_tasks ts (List.mapi (fun j t -> if i = j then c else t) tasks))
+        );
+        (1, map (fun c -> with_tasks ts (c :: tasks)) gen_task);
+        (1, gen_fingerprint_set);
+      ])
+
+let prop_fingerprint_matches_canonical =
+  let gen =
+    QCheck.Gen.(
+      let* a = gen_fingerprint_set in
+      let* steps = int_range 1 3 in
+      let rec go ts k =
+        if k = 0 then return ts else reshape ts >>= fun ts -> go ts (k - 1)
+      in
+      let* b = go a steps in
+      return (a, b))
+  in
+  let print (a, b) =
+    Printf.sprintf "%s\n%s" (Old_canonical.canonical a)
+      (Old_canonical.canonical b)
+  in
+  QCheck.Test.make ~name:"fingerprint classes match the textual key" ~count:2000
+    (QCheck.make ~print gen) (fun (a, b) ->
+      Bool.equal
+        (String.equal (Old_canonical.canonical a) (Old_canonical.canonical b))
+        (String.equal (Taskset.fingerprint a) (Taskset.fingerprint b)))
 
 (* ---- closed-form EDF against the enumerating scan ---- *)
 
@@ -603,6 +777,7 @@ let suite =
     Alcotest.test_case "rejection names stable" `Quick
       test_rejection_names_stable;
     to_alcotest prop_certificates_replay;
+    to_alcotest prop_fingerprint_matches_canonical;
     to_alcotest prop_closed_form_matches_scan;
     Alcotest.test_case "long hyperperiod names its demand" `Quick
       test_long_hyperperiod_reason;

@@ -29,11 +29,6 @@ let test_map_matches_sequential () =
         expected (Par.map pool f input))
     [ 1; 2; 3; 4; 8 ]
 
-let test_map_list () =
-  let pool = Par.Pool.create ~jobs:3 in
-  Alcotest.(check (list int)) "list order" [ 2; 4; 6; 8 ]
-    (Par.map_list pool (fun x -> 2 * x) [ 1; 2; 3; 4 ])
-
 let test_exception_propagates () =
   let pool = Par.Pool.create ~jobs:4 in
   Alcotest.check_raises "first failure reraised" (Failure "boom-0") (fun () ->
@@ -72,7 +67,6 @@ let suite =
     Alcotest.test_case "pool clamps job count" `Quick test_pool_clamps;
     Alcotest.test_case "map: empty and singleton" `Quick test_map_empty_and_singleton;
     Alcotest.test_case "map matches sequential for any jobs" `Quick test_map_matches_sequential;
-    Alcotest.test_case "map_list keeps order" `Quick test_map_list;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     to_alcotest prop_order_under_random_durations;
   ]

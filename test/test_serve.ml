@@ -89,13 +89,50 @@ let prop_decoder_total =
       ignore (P.Decoder.eof dec);
       true)
 
-(* frame/decode are inverses for any payload, under any chunk size. *)
+(* Regression: every decoded frame used to copy the whole buffered
+   remainder into a fresh buffer, so N frames arriving in one read cost
+   O(N^2) time and allocation. 2,000 frames of ~100 bytes fed at once
+   must decode in order and allocate a small multiple of the input. *)
+let test_decoder_one_chunk () =
+  let payloads =
+    Array.init 2000 (fun i ->
+        Printf.sprintf "query P:%d:300 %s" (1000 + i) (String.make 80 'x'))
+  in
+  let wire = String.concat "" (Array.to_list (Array.map P.frame payloads)) in
+  let dec = P.Decoder.create () in
+  let minor0, _, major0 = Gc.counters () in
+  P.Decoder.feed_string dec wire;
+  let decoded = ref 0 and in_order = ref true in
+  let rec pull () =
+    match P.Decoder.next dec with
+    | `Frame p ->
+      if !decoded >= Array.length payloads || p <> payloads.(!decoded) then
+        in_order := false;
+      incr decoded;
+      pull ()
+    | `Await -> ()
+    | `Error e -> Alcotest.failf "decoder error: %s" (P.describe_error e)
+  in
+  pull ();
+  let minor1, _, major1 = Gc.counters () in
+  Alcotest.(check int) "every frame" (Array.length payloads) !decoded;
+  Alcotest.(check bool) "in order" true !in_order;
+  Alcotest.(check bool) "clean eof" true (P.Decoder.eof dec = `Clean);
+  let words = minor1 -. minor0 +. (major1 -. major0) in
+  let input_words = float_of_int (String.length wire / (Sys.word_size / 8)) in
+  if words > 16. *. input_words then
+    Alcotest.failf "decoding allocated %.0f words for a %.0f-word input" words
+      input_words
+
+(* frame/decode are inverses for any payload, under any chunk size up to
+   the whole stream at once. *)
 let prop_frame_roundtrip =
   QCheck.Test.make ~name:"frame/decode round-trip" ~count:300
     QCheck.(
       pair
         (small_list (string_of_size (QCheck.Gen.int_bound 80)))
-        (int_range 1 7))
+        (make ~print:string_of_int
+           Gen.(oneof [ int_range 1 7; int_range 8 2048; return max_int ])))
     (fun (payloads, chunk) ->
       let wire = String.concat "" (List.map P.frame payloads) in
       let dec = P.Decoder.create () in
@@ -496,6 +533,8 @@ let suite =
   [
     Alcotest.test_case "decoder round-trip" `Quick test_decoder_roundtrip;
     Alcotest.test_case "decoder typed errors" `Quick test_decoder_errors;
+    Alcotest.test_case "decoder linear on one big chunk" `Quick
+      test_decoder_one_chunk;
     to_alcotest prop_decoder_total;
     to_alcotest prop_frame_roundtrip;
     Alcotest.test_case "parse request" `Quick test_parse_request;
