@@ -62,71 +62,90 @@ type shared_state = {
 }
 
 (* One worker's iteration loop as a hand-rolled state machine: compute,
-   apply remote writes (ring pattern), optionally cross the barrier. *)
+   apply remote writes (ring pattern), optionally cross the barrier. The
+   state lives in one record per worker and the barrier crossing is
+   re-armed, not rebuilt, so a body call allocates only its op. *)
+type worker = {
+  sys : Scheduler.t;
+  shared : shared_state;
+  p : params;
+  iter_cost : Platform.cost;
+  my_base : int;
+  neighbour_base : int;
+  crossing : Gbarrier.crossing;
+  mutable iter : int;
+  mutable stage : [ `Compute | `Update | `Barrier ];
+  mutable recorded_start : bool;
+}
+
+let rec worker_step w ({ Thread.svc; self } as ctx : Thread.ctx) =
+  let shared = w.shared and p = w.p in
+  if w.iter >= p.iters then begin
+    let now = svc.Thread.now () in
+    shared.finished <- shared.finished + 1;
+    if Time.(now > shared.last_end) then shared.last_end <- now;
+    if shared.finished = p.cpus then Engine.stop (Scheduler.engine w.sys);
+    Thread.Exit
+  end
+  else begin
+    match w.stage with
+    | `Compute ->
+      w.stage <- `Update;
+      Thread.Compute (svc.Thread.sample self w.iter_cost)
+    | `Update ->
+      (* compute_local_element over the local region, then remote
+         writes into the ring neighbour's region. *)
+      for j = 0 to Stdlib.min (p.ne - 1) 63 do
+        let idx = w.my_base + j in
+        shared.domain.(idx) <-
+          (shared.domain.(idx) *. 0.5) +. float_of_int ((w.iter + j) mod 7)
+      done;
+      for k = 0 to p.nw - 1 do
+        let idx = w.neighbour_base + (k mod p.ne) in
+        shared.domain.(idx) <- shared.domain.(idx) +. 1.0
+      done;
+      shared.iterations_done <- shared.iterations_done + 1;
+      if p.barrier then begin
+        Gbarrier.rearm w.crossing;
+        w.stage <- `Barrier
+      end
+      else begin
+        w.iter <- w.iter + 1;
+        w.stage <- `Compute
+      end;
+      worker_step w ctx
+    | `Barrier -> (
+      match Gbarrier.step w.crossing ctx with
+      | Thread.Exit ->
+        w.iter <- w.iter + 1;
+        w.stage <- `Compute;
+        worker_step w ctx
+      | op -> op)
+  end
+
 let worker_loop sys shared p ~index ~iter_cost ~barrier_for =
-  let my_base = index * p.ne in
-  let neighbour_base = (index + 1) mod p.cpus * p.ne in
-  let iter = ref 0 in
-  let stage = ref `Compute in
-  let crossing = ref None in
-  let recorded_start = ref false in
-  fun ({ Thread.svc; self } as ctx : Thread.ctx) ->
-    if not !recorded_start then begin
-      recorded_start := true;
+  let w =
+    {
+      sys;
+      shared;
+      p;
+      iter_cost;
+      my_base = index * p.ne;
+      neighbour_base = (index + 1) mod p.cpus * p.ne;
+      crossing = Gbarrier.crossing barrier_for;
+      iter = 0;
+      stage = `Compute;
+      recorded_start = false;
+    }
+  in
+  fun ({ Thread.svc; _ } as ctx : Thread.ctx) ->
+    if not w.recorded_start then begin
+      w.recorded_start <- true;
       let now = svc.Thread.now () in
       if shared.started = 0 then shared.first_start <- now;
       shared.started <- shared.started + 1
     end;
-    let rec step () =
-      if !iter >= p.iters then begin
-        let now = svc.Thread.now () in
-        shared.finished <- shared.finished + 1;
-        if Time.(now > shared.last_end) then shared.last_end <- now;
-        if shared.finished = p.cpus then Engine.stop (Scheduler.engine sys);
-        Thread.Exit
-      end
-      else begin
-        match !stage with
-        | `Compute ->
-          stage := `Update;
-          Thread.Compute (svc.Thread.sample self iter_cost)
-        | `Update ->
-          (* compute_local_element over the local region, then remote
-             writes into the ring neighbour's region. *)
-          for j = 0 to Stdlib.min (p.ne - 1) 63 do
-            let idx = my_base + j in
-            shared.domain.(idx) <-
-              (shared.domain.(idx) *. 0.5) +. float_of_int ((!iter + j) mod 7)
-          done;
-          for w = 0 to p.nw - 1 do
-            let idx = neighbour_base + (w mod p.ne) in
-            shared.domain.(idx) <- shared.domain.(idx) +. 1.0
-          done;
-          shared.iterations_done <- shared.iterations_done + 1;
-          if p.barrier then begin
-            crossing := Some (Gbarrier.cross barrier_for);
-            stage := `Barrier;
-            step ()
-          end
-          else begin
-            incr iter;
-            stage := `Compute;
-            step ()
-          end
-        | `Barrier -> (
-          match !crossing with
-          | None -> assert false
-          | Some body -> (
-            match body ctx with
-            | Thread.Exit ->
-              crossing := None;
-              incr iter;
-              stage := `Compute;
-              step ()
-            | op -> op))
-      end
-    in
-    step ()
+    worker_step w ctx
 
 let run ?(seed = 42L) ?(platform = Platform.phi) ?(until = Time.sec 100)
     ?(policy = Config.Edf) ?obs p mode =

@@ -25,6 +25,7 @@ and t = {
   admission : Admission.t;
   account : Account.t;
   mutable services : Thread.services;
+  mutable last_ctx : Thread.ctx option;
   mutable current : Thread.t option;
   mutable completion_ev : Engine.handle;
   mutable completion_gen : int;
@@ -110,7 +111,7 @@ let emit_wake t (th : Thread.t) now =
   if obs_on t then
     obs_emit t ~time:now (Obs.Event.Wake { tid = th.id; thread = th.name })
 
-let sample t cost = Machine.sample t.shared.machine t.cpu cost
+let[@inline] sample t cost = Machine.sample t.shared.machine t.cpu cost
 
 let rt_queue_length t = Prio_queue.length t.rt_run
 let pending_length t = Prio_queue.length t.pending
@@ -249,14 +250,15 @@ let[@hrt.hot] pend t (th : Thread.t) =
     failwith "local_sched: pending queue overflow"
 
 let[@hrt.hot] rec pump t now =
-  match Prio_queue.peek t.pending with
-  | Some (k, _) when Time.(k <= now) -> (
-    match Prio_queue.pop t.pending with
-    | Some (_, th) ->
-      process_arrival t th now;
-      pump t now
-    | None -> ())
-  | Some _ | None -> ()
+  if
+    (not (Prio_queue.is_empty t.pending))
+    && Time.(Prio_queue.min_key t.pending <= now)
+  then begin
+    let th = Prio_queue.min_value t.pending in
+    Prio_queue.drop_min t.pending;
+    process_arrival t th now;
+    pump t now
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Miss detection: a runnable RT thread whose deadline passed while it was
@@ -290,7 +292,9 @@ let missed_now t (th : Thread.t) now =
    invoke pipeline runs [degrade_on_misses] instead. *)
 let flag_misses t now =
   (match t.current with Some th -> flag_miss t th now | None -> ());
-  Prio_queue.iter t.rt_run (fun _ th -> flag_miss t th now)
+  (* Guarded so the common empty queue builds no iteration closure. *)
+  if not (Prio_queue.is_empty t.rt_run) then
+    Prio_queue.iter t.rt_run (fun _ th -> flag_miss t th now)
 
 let record_miss_completion t (th : Thread.t) now =
   if th.missed_current then begin
@@ -376,71 +380,79 @@ let exit_thread t (th : Thread.t) =
   th.has_op <- false;
   Thread_pool.free t.shared.pool th.id
 
+(* The context a body is called with. Bodies only read it, so the last
+   one built is reused while the same thread runs here: with one thread
+   per CPU (every paper workload) a body call builds no record. *)
+let body_ctx t (th : Thread.t) =
+  match t.last_ctx with
+  | Some c when c.Thread.self == th && c.Thread.svc == t.services -> c
+  | Some _ | None ->
+    let c = { Thread.svc = t.services; self = th } in
+    t.last_ctx <- Some c;
+    c
+
 (* Returns true when the thread is runnable with CPU work in hand. *)
-let rec advance t (th : Thread.t) now =
-  let ctx = { Thread.svc = t.services; self = th } in
-  let guard = ref 0 in
-  let next_op () =
-    match th.stashed_op with
-    | Some op ->
-      th.stashed_op <- None;
-      op
-    | None -> th.body ctx
-  in
-  let rec go () =
-    if th.has_op then true
-    else begin
-      incr guard;
-      if !guard > 1024 then
-        failwith
-          (Printf.sprintf "thread %s: livelock: 1024 zero-cost ops" th.name);
-      match next_op () with
-      | Thread.Compute w ->
-        if Time.(w <= 0L) then go ()
-        else begin
-          th.has_op <- true;
-          th.work_left <- inflate th w;
-          true
-        end
-      | Thread.Yield ->
-        th.state <- Thread.Ready;
-        (if rt_active th then
-           ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
-         else begin
-           th.quantum_left <- (config t).Config.aperiodic_quantum;
-           aper_push_back t th
-         end);
-        false
-      | Thread.Block ->
-        emit_block t th now;
-        th.state <- Thread.Blocked;
-        th.block_start <- now;
-        th.spin_block <- true;
-        th.wake_token <- th.wake_token + 1;
-        false
-      | Thread.Sleep_until tm ->
-        emit_block t th now;
-        th.state <- Thread.Blocked;
-        th.block_start <- now;
-        th.spin_block <- false;
-        th.wake_token <- th.wake_token + 1;
-        let token = th.wake_token in
-        let at = Time.max tm Time.(now + 1L) in
-        ignore
-          (Engine.schedule (engine t) ~at (fun _eng ->
-               if th.state = Thread.Blocked && th.wake_token = token then
-                 wake_sched t th));
-        false
-      | Thread.Set_constraints (c, cb) ->
-        do_set_constraints t th c cb now;
-        false
-      | Thread.Exit ->
-        if rt_active th then emit_complete t th now;
-        exit_thread t th;
-        false
-    end
-  in
-  go ()
+let rec advance t (th : Thread.t) now = advance_ops t th now (body_ctx t th) 1
+
+(* [n] counts the ops pulled by this [advance], the livelock guard. *)
+and advance_ops t (th : Thread.t) now ctx n =
+  if th.has_op then true
+  else begin
+    if n > 1024 then
+      failwith
+        (Printf.sprintf "thread %s: livelock: 1024 zero-cost ops" th.name);
+    let op =
+      match th.stashed_op with
+      | Some op ->
+        th.stashed_op <- None;
+        op
+      | None -> th.body ctx
+    in
+    match op with
+    | Thread.Compute w ->
+      if Time.(w <= 0L) then advance_ops t th now ctx (n + 1)
+      else begin
+        th.has_op <- true;
+        th.work_left <- inflate th w;
+        true
+      end
+    | Thread.Yield ->
+      th.state <- Thread.Ready;
+      (if rt_active th then
+         ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
+       else begin
+         th.quantum_left <- (config t).Config.aperiodic_quantum;
+         aper_push_back t th
+       end);
+      false
+    | Thread.Block ->
+      emit_block t th now;
+      th.state <- Thread.Blocked;
+      th.block_start <- now;
+      th.spin_block <- true;
+      th.wake_token <- th.wake_token + 1;
+      false
+    | Thread.Sleep_until tm ->
+      emit_block t th now;
+      th.state <- Thread.Blocked;
+      th.block_start <- now;
+      th.spin_block <- false;
+      th.wake_token <- th.wake_token + 1;
+      let token = th.wake_token in
+      let at = Time.max tm Time.(now + 1L) in
+      ignore
+        (Engine.schedule (engine t) ~at (fun _eng ->
+             if th.state = Thread.Blocked && th.wake_token = token then
+               wake_sched t th));
+      false
+    | Thread.Set_constraints (c, cb) ->
+      do_set_constraints t th c cb now;
+      false
+    | Thread.Exit ->
+      if rt_active th then emit_complete t th now;
+      exit_thread t th;
+      false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Wakes. [wake_enqueue] places a blocked thread back in the right queue
@@ -836,33 +848,35 @@ and settle_current t now =
 and run_sized_tasks t now =
   if not (Prio_queue.is_empty t.rt_run) then 0L
   else begin
-    let consumed = ref 0L in
-    let room () =
-      match Prio_queue.peek t.pending with
-      | None -> Time.sec 1
-      | Some (k, _) -> Time.(k - now - !consumed)
+    let consumed =
+      if Task.sized_pending t.task_queue = 0 then 0L
+      else run_fitting_tasks t now 0L
     in
-    let rec loop () =
-      let fits = room () in
-      if Time.(fits > 0L) then begin
-        match Task.take_sized t.task_queue ~fits with
-        | Some task ->
-          consumed := Time.(!consumed + task.Task.duration);
-          task.Task.run ();
-          Task.complete t.task_queue task ~now:Time.(now + !consumed);
-          loop ()
-        | None -> ()
-      end
-    in
-    loop ();
     (* Untagged tasks must go through the helper thread. *)
     (if Task.unsized_pending t.task_queue > 0 then
        match t.task_thread with
        | Some helper when helper.Thread.state = Thread.Blocked ->
          wake_sched t helper
        | Some _ | None -> ());
-    !consumed
+    consumed
   end
+
+(* Run sized tasks while they fit before the next arrival; [consumed] is
+   the busy time used so far. *)
+and run_fitting_tasks t now consumed =
+  let fits =
+    if Prio_queue.is_empty t.pending then Time.sec 1
+    else Time.(Prio_queue.min_key t.pending - now - consumed)
+  in
+  if Time.(fits <= 0L) then consumed
+  else
+    match Task.take_sized t.task_queue ~fits with
+    | Some task ->
+      let consumed = Time.(consumed + task.Task.duration) in
+      task.Task.run ();
+      Task.complete t.task_queue task ~now:Time.(now + consumed);
+      run_fitting_tasks t now consumed
+    | None -> consumed
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stage 4 — pick: next-thread selection. The RT run queue head
@@ -898,29 +912,27 @@ and pick_bounded t now depth =
     failwith
       "local_sched: livelock: a thread body re-issues a non-Compute op \
        without making progress (use Program.of_thunks for one-shot ops)";
-  let rt_candidate =
-    (match Prio_queue.peek t.rt_run with
-     | None -> None
-     | Some (_, th) -> (
-       match (config t).Config.dispatch with
-       | Config.Eager -> Some th
-       | Config.Lazy ->
-         let latest =
-           Policy.latest_start (policy t)
-             ~slack:(config t).Config.lazy_slack th
-         in
-         if Time.(now >= latest) || th.missed_current then Some th else None)
-     [@hrt.alloc_ok "one boxed candidate per scheduler decision"])
+  let rt_ready =
+    (not (Prio_queue.is_empty t.rt_run))
+    &&
+    match (config t).Config.dispatch with
+    | Config.Eager -> true
+    | Config.Lazy ->
+      let th = Prio_queue.min_value t.rt_run in
+      let latest =
+        Policy.latest_start (policy t) ~slack:(config t).Config.lazy_slack th
+      in
+      Time.(now >= latest) || th.missed_current
   in
-  match rt_candidate with
-  | Some _ -> (
-    match Prio_queue.pop t.rt_run with
-    | Some (_, th) -> prepare t th now depth
-    | None -> assert false)
-  | None -> (
+  if rt_ready then begin
+    let th = Prio_queue.min_value t.rt_run in
+    Prio_queue.drop_min t.rt_run;
+    prepare t th now depth
+  end
+  else
     match take_best_aper t with
     | Some th -> prepare t th now depth
-    | None -> None)
+    | None -> None
 [@@hrt.hot]
 
 and prepare t (th : Thread.t) now depth =
@@ -947,9 +959,10 @@ and program_timer t now resume_at =
      Absolute wall-clock targets are skew-adjusted; durations are not. *)
   let best = Int64.max_int in
   let best =
-    match Prio_queue.peek t.pending with
-    | Some (k, _) when Time.(k > now) -> Time.min best Time.(k - t.clock_skew)
-    | Some _ | None -> best
+    if Prio_queue.is_empty t.pending then best
+    else
+      let k = Prio_queue.min_key t.pending in
+      if Time.(k > now) then Time.min best Time.(k - t.clock_skew) else best
   in
   let best =
     match t.current with
@@ -967,11 +980,12 @@ and program_timer t now resume_at =
     | None -> best
   in
   let best =
-    match (cfg.Config.dispatch, Prio_queue.peek t.rt_run) with
-    | Config.Lazy, Some (_, th) ->
+    match cfg.Config.dispatch with
+    | Config.Lazy when not (Prio_queue.is_empty t.rt_run) ->
+      let th = Prio_queue.min_value t.rt_run in
       let a = Policy.latest_start (policy t) ~slack:cfg.Config.lazy_slack th in
       if Time.(a > now) then Time.min best Time.(a - t.clock_skew) else best
-    | (Config.Eager | Config.Lazy), _ -> best
+    | Config.Eager | Config.Lazy -> best
   in
   if Int64.equal best Int64.max_int then Apic.cancel_timer t.cpu.Machine.apic
   else Apic.arm t.cpu.Machine.apic ~at:(Time.max best Time.(now + 1L))
@@ -1020,8 +1034,7 @@ and on_completion t eng =
       in
       if not budget_ok then invoke t eng ~irq_ns:0L ~handler_ns:0L
       else begin
-        let ctx = { Thread.svc = t.services; self = th } in
-        match th.body ctx with
+        match th.body (body_ctx t th) with
         | Thread.Compute w when Time.(w > 0L) ->
           th.has_op <- true;
           th.work_left <- inflate th w;
@@ -1333,6 +1346,7 @@ let create shared cpu =
           sample = (fun _ _ -> 0L);
           rng = shared.workload_rng;
         };
+      last_ctx = None;
       current = None;
       completion_ev = Engine.no_handle;
       completion_gen = 0;

@@ -62,15 +62,29 @@ let add t ~key v =
 
 let peek t = if t.len = 0 then None else Some (t.cells.(0).key, t.cells.(0).v)
 
+let nonempty t = if t.len = 0 then invalid_arg "Prio_queue: empty queue"
+
+let[@inline] min_key t =
+  nonempty t;
+  t.cells.(0).key
+
+let[@inline] min_value t =
+  nonempty t;
+  t.cells.(0).v
+
+let drop_min t =
+  nonempty t;
+  t.len <- t.len - 1;
+  if t.len > 0 then begin
+    t.cells.(0) <- t.cells.(t.len);
+    sift_down t 0
+  end
+
 let pop t =
   if t.len = 0 then None
   else begin
     let root = t.cells.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.cells.(0) <- t.cells.(t.len);
-      sift_down t 0
-    end;
+    drop_min t;
     Some (root.key, root.v)
   end
 

@@ -23,6 +23,21 @@ val peek : 'a t -> (int64 * 'a) option
 
 val pop : 'a t -> (int64 * 'a) option
 
+(** {1 Allocation-free access to the minimum}
+
+    The scheduler pass reads the head of its queues several times per
+    invocation; these read it without building [peek]'s option and
+    tuple. Each raises [Invalid_argument] on an empty queue. *)
+
+val min_key : 'a t -> int64
+(** The smallest key, as {!peek} would return it. *)
+
+val min_value : 'a t -> 'a
+(** The element {!peek} would return. *)
+
+val drop_min : 'a t -> unit
+(** Remove the element {!pop} would return. *)
+
 val remove : 'a t -> ('a -> bool) -> 'a option
 (** Remove the first (heap-order scan) element satisfying the predicate. *)
 

@@ -146,20 +146,25 @@ let freeze t ~until =
       t.freeze_tick <- tick_of until)
   end
 
-let[@hrt.cold] frozen_overlap t a b =
+let overlap a b s e =
+  let lo = Time.max a s and hi = Time.min b e in
+  if Time.(hi > lo) then Time.(hi - lo) else 0L
+
+let rec closed_overlap a b acc windows =
+  match windows with
+  | [] -> acc
+  | (s, e) :: rest -> closed_overlap a b Time.(acc + overlap a b s e) rest
+
+(* Called on every scheduler pass; a run that never froze pays two loads
+   and allocates nothing. *)
+let frozen_overlap t a b =
   if Time.(b <= a) then 0L
-  else begin
-    let overlap (s, e) =
-      let lo = Time.max a s and hi = Time.min b e in
-      if Time.(hi > lo) then Time.(hi - lo) else 0L
-    in
-    let closed =
-      List.fold_left (fun acc w -> Time.(acc + overlap w)) 0L t.windows
-    in
-    match t.open_freeze with
-    | None -> closed
-    | Some s -> Time.(closed + overlap (s, t.freeze_until))
-  end
+  else
+    match (t.windows, t.open_freeze) with
+    | [], None -> 0L
+    | windows, None -> closed_overlap a b 0L windows
+    | windows, Some s ->
+      Time.(closed_overlap a b 0L windows + overlap a b s t.freeze_until)
 
 let[@hrt.cold] total_frozen t =
   (* An open window is committed through [freeze_until]: count all of it. *)

@@ -30,7 +30,7 @@ type action =
   | Timer_fire of int  (** one-shot APIC timer expiry *)
   | Soft_invoke of int  (** software-requested scheduler pass *)
   | Complete of int  (** thread completion bookkeeping *)
-  | Wake of int  (** cross-CPU kick (IPI) *)
+  | Wake of int  (** thread wake: cross-CPU kick (IPI), barrier departure *)
   | Smi_fire of int  (** SMI generator expiry *)
   | Irq_pull of int  (** device interrupt arrival *)
   | Fault_tick of int  (** fault-injection plan step *)

@@ -74,7 +74,13 @@ type 'a t = {
   mutable of_len : int;
   mutable next_seq : int;
   mutable live : int;
+  (* [find_min]'s answer, or [no_min] when it must be searched again. The
+     engine asks for the minimum twice per event ([next_tick], then
+     [take]); anything that can change the answer resets it. *)
+  mutable min_entry : int;
 }
+
+let no_min = -2
 
 let no_tick = min_int
 
@@ -114,6 +120,7 @@ let[@hrt.cold] create ~dummy =
     of_len = 0;
     next_seq = 0;
     live = 0;
+    min_entry = no_min;
   }
 
 (* ---- entry pool ---- *)
@@ -403,7 +410,7 @@ let rec wheel_min t =
    migrated into the wheel) and can even hold ticks the cursor has passed
    (its page jumped over them), which must still beat a later overdue
    entry. *)
-let find_min t =
+let search_min t =
   od_clean t;
   of_clean t;
   let best = wheel_min t in
@@ -415,6 +422,14 @@ let find_min t =
   if t.of_len > 0 && (best < 0 || earlier t t.of_heap.(0) best) then
     t.of_heap.(0)
   else best
+
+(* A repeated search with no mutation in between returns the same entry:
+   the first one already cleaned the heap tops and did the cascades. *)
+let find_min t =
+  if t.min_entry = no_min then t.min_entry <- search_min t;
+  t.min_entry
+
+let invalidate_min t = t.min_entry <- no_min
 
 let remove_min t i =
   (* [i] must be the entry [find_min] returned. The cursor never moves
@@ -438,6 +453,7 @@ let is_empty t = t.live = 0
 
 let add t ~time payload =
   let tick = tick_of_time time in
+  invalidate_min t;
   let i = alloc_entry t in
   t.e_time.(i) <- tick;
   t.e_seq.(i) <- t.next_seq;
@@ -450,6 +466,7 @@ let add t ~time payload =
 let cancel t h =
   let i = decode t h in
   if i >= 0 then begin
+    invalidate_min t;
     let w = t.e_where.(i) in
     if w >= 0 then begin
       slot_unlink t i;
@@ -489,6 +506,7 @@ let requeue t h ~time =
   if not (is_live t h) then invalid_arg "Event_queue.requeue: cancelled entry";
   let i = h land idx_mask in
   let tick = tick_of_time time in
+  invalidate_min t;
   if t.e_where.(i) >= 0 then begin
     (* Reuse the record in place; bump the generation so the old handle
        goes stale (a requeue invalidates it, like a cancel + add). *)
@@ -520,6 +538,7 @@ let take t =
   let i = find_min t in
   if i < 0 then none
   else begin
+    invalidate_min t;
     remove_min t i;
     t.e_where.(i) <- w_inflight;
     t.live <- t.live - 1;
@@ -540,6 +559,7 @@ let defer_inflight t h ~time =
      reaches the deferred event. *)
   let i = h land idx_mask in
   t.e_time.(i) <- tick_of_time time;
+  invalidate_min t;
   t.e_seq.(i) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   place t i;

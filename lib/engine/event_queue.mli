@@ -83,7 +83,10 @@ val no_tick : int
 (** Sentinel returned by {!next_tick} on an empty queue ([min_int]). *)
 
 val next_tick : 'a t -> int
-(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}. *)
+(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}. The
+    entry found is remembered until the queue next changes, so the
+    {!take} that follows does not search again: one wheel search per
+    engine event. *)
 
 val take : 'a t -> handle
 (** Remove the earliest live event from the queue but keep its entry

@@ -1,21 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne]: a [mutable state : int64] field
+   would box every new state and pay [caml_modify] on each draw. With the
+   draw functions inlined, a cost sample's int64 and float stay unboxed
+   from the state word to the caller's arithmetic. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] next t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
 let split t = create (next t)
 
-let float t =
+let[@inline] float t =
   (* 53 random bits scaled into [0,1). *)
   let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1. /. 9007199254740992.)
@@ -46,14 +55,16 @@ let range_ns t lo hi =
   if not Time.(lo < hi) then invalid_arg "Rng.range_ns";
   Int64.add lo (bounded t (Int64.sub hi lo))
 
-let gaussian t ~mu ~sigma =
-  let rec draw () =
-    let u1 = float t in
-    if u1 <= 1e-300 then draw () else u1
-  in
-  let u1 = draw () in
+(* The retry is a [while] loop, not a local [let rec]: without flambda a
+   local function keeps [gaussian] from being inlined, and every cost
+   sample would then return a boxed float. *)
+let[@inline] gaussian t ~mu ~sigma =
+  let u1 = ref (float t) in
+  while !u1 <= 1e-300 do
+    u1 := float t
+  done;
   let u2 = float t in
-  let r = sqrt (-2. *. log u1) in
+  let r = sqrt (-2. *. log !u1) in
   mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))
 
 let exponential t ~mean =

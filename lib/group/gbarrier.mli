@@ -52,3 +52,25 @@ val cross :
     the instant the last thread arrives (before anyone departs) — used by
     reductions to freeze their accumulator. [record_order] tells each
     thread its release index (0 = first out). *)
+
+(** {1 Reusable crossings}
+
+    A thread that crosses the same barrier every iteration keeps one
+    {!crossing} and re-arms it, instead of building a fresh {!cross}
+    fragment (a closure and its state) per iteration. *)
+
+type crossing
+
+val crossing :
+  ?on_release:(unit -> unit) ->
+  ?record_order:(Thread.t -> int -> unit) ->
+  t ->
+  crossing
+(** One thread's crossing state, armed; arguments as for {!cross}. *)
+
+val step : crossing -> Thread.body
+(** Advance the crossing: [step c] behaves exactly like the body [cross]
+    returns, and answers [Exit] once the crossing is complete. *)
+
+val rearm : crossing -> unit
+(** Make a completed crossing ready to cross the barrier again. *)

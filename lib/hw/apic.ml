@@ -82,7 +82,7 @@ let set_timer_jitter t ?rng ~max_ns () =
   t.extra_jitter_ns <- Time.max 0L max_ns;
   t.extra_rng <- rng
 
-let delivery_latency t =
+let[@inline] delivery_latency t =
   let base =
     if t.jitter_max_cycles <= 0. then 0L
     else begin

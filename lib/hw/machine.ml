@@ -57,6 +57,6 @@ let num_cpus t = Array.length t.cpus
 
 let cpu t i = t.cpus.(i)
 
-let sample t (c : cpu) cost = Platform.sample t.platform c.rng cost
+let[@inline] sample t (c : cpu) cost = Platform.sample t.platform c.rng cost
 
 let read_tsc t (c : cpu) = Tsc.read c.tsc ~now:(Engine.now t.engine)

@@ -105,13 +105,16 @@ let r415 =
     steal_check = cost 500. 60.;
   }
 
-let cycles_to_ns t cycles =
+(* [cycles_to_ns], [sample_cycles] and [sample] are inlined so that a cost
+   draw reaches its caller as an unboxed int64 (the float and the int64 of
+   every hop would otherwise be boxed). *)
+let[@inline] cycles_to_ns t cycles =
   if cycles <= 0. then 0L
   else Int64.of_float (Float.max 1. (Float.ceil (cycles /. t.ghz)))
 
 let ns_to_cycles t ns = Int64.to_float ns *. t.ghz
 
-let sample_cycles t rng c =
+let[@inline] sample_cycles t rng c =
   ignore t;
   if c.sigma_cycles <= 0. then c.mean_cycles
   else begin
@@ -119,7 +122,7 @@ let sample_cycles t rng c =
     Float.max (c.mean_cycles /. 4.) x
   end
 
-let sample t rng c = cycles_to_ns t (sample_cycles t rng c)
+let[@inline] sample t rng c = cycles_to_ns t (sample_cycles t rng c)
 
 let pp fmt t =
   Format.fprintf fmt "%s: %d CPUs (%d cores) @ %.1f GHz" t.name t.num_cpus

@@ -35,13 +35,23 @@ let map pool f arr =
        [Domain.join] publishes them to the caller. *)
     let out = Array.make n None in
     let next = Atomic.make 0 in
-    let failure = Atomic.make None in
+    (* The lowest failing index so far ([n] = none), and each failure's
+       exception and backtrace in its own slot. Indices are claimed in
+       increasing order, so when index [k] fails every lower index has
+       already been claimed and runs to completion: after the join, the
+       lowest failure is the one a sequential [Array.map] would raise. *)
+    let first_failed = Atomic.make n in
+    let failures = Array.make n None in
+    let rec lower_first_failed i =
+      let cur = Atomic.get first_failed in
+      if i < cur && not (Atomic.compare_and_set first_failed cur i) then
+        lower_first_failed i
+    in
     let worker () =
       let continue = ref true in
       while !continue do
-        match Atomic.get failure with
-        | Some _ -> continue := false
-        | None ->
+        if Atomic.get first_failed < n then continue := false
+        else begin
           let i = Atomic.fetch_and_add next 1 in
           if i >= n then continue := false
           else begin
@@ -49,19 +59,22 @@ let map pool f arr =
             | y -> out.(i) <- Some y
             | exception e ->
               let bt = Printexc.get_raw_backtrace () in
-              (* First failure wins; the others drain and stop. *)
-              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+              failures.(i) <- Some (e, bt);
+              lower_first_failed i;
               continue := false
           end
+        end
       done
     in
     let helpers = Stdlib.min (Pool.jobs pool - 1) (n - 1) in
     let domains = Array.init helpers (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join domains;
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
+    (let i = Atomic.get first_failed in
+     if i < n then
+       match failures.(i) with
+       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+       | None -> assert false);
     Array.init n (fun i ->
         match out.(i) with
         | Some y -> y

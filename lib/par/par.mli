@@ -29,4 +29,6 @@ val map : Pool.t -> ('a -> 'b) -> 'a array -> 'b array
     order, same exceptions.
 
     If any [f] raises, remaining unstarted jobs are abandoned, all workers
-    are joined, and the first failure is re-raised with its backtrace. *)
+    are joined, and the failure of the lowest failing index is re-raised
+    with its backtrace — the exception [Array.map] would raise, whatever
+    the job count and however the jobs interleave. *)

@@ -92,6 +92,46 @@ let test_parallel_bsp_identical () =
   Alcotest.(check bool) "jobs=1 and jobs=4 rows structurally equal" true
     (seq = par)
 
+(* Bit-exact digests of whole sweeps, captured before the scheduler pass
+   was taken off the minor heap: every field of every point or run,
+   floats in hex, hashed with MD5. The pinned counts above only catch a
+   change in arrivals or misses; these catch one flipped bit in a miss
+   time, a checksum or an execution time. *)
+let digest keys = Digest.to_hex (Digest.string (String.concat "\n" keys))
+
+let point_key (p : Miss_sweep.point) =
+  Printf.sprintf "pt %Ld %d %d %d %h %h %h" p.period p.slice_pct p.arrivals
+    p.misses p.miss_rate p.miss_mean_us p.miss_std_us
+
+let bsp_key (r : Hrt_bsp.Bsp.result) =
+  Printf.sprintf "bsp %Ld %Ld %Ld %d %d %h %b" r.exec_time r.start_time
+    r.end_time r.iterations_done r.misses r.checksum r.admitted
+
+let test_missrate_digest () =
+  let ctx = Exp.Ctx.make ~scale:Exp.Quick () in
+  let points = Fig06.points ~ctx () @ Fig07.points ~ctx () in
+  Alcotest.(check int) "135 points" 135 (List.length points);
+  Alcotest.(check string) "Quick Fig 6 + Fig 7 digest, seed 42"
+    "d4b21da4780f0ce3c09bb0cca9eee8dc"
+    (digest (List.map point_key points))
+
+(* The Quick sim-bsp configuration (24 workers, 20 iterations) at a 100 us
+   period and 50 % slice, with and without the barrier. *)
+let test_bsp_digest () =
+  let run barrier =
+    let p = { (Hrt_bsp.Bsp.fine_grain ~cpus:24 ~barrier) with Hrt_bsp.Bsp.iters = 20 } in
+    Hrt_bsp.Bsp.run p
+      (Hrt_bsp.Bsp.Rt
+         {
+           period = Hrt_engine.Time.us 100;
+           slice = Hrt_engine.Time.us 50;
+           phase_correction = true;
+         })
+  in
+  Alcotest.(check string) "Quick BSP pair digest, seed 42"
+    "92feb89eb2618b6a33ac81f1c676d523"
+    (digest [ bsp_key (run true); bsp_key (run false) ])
+
 let suite =
   [
     Alcotest.test_case "same seed, same CSV bytes" `Quick test_same_seed_same_csv;
@@ -99,4 +139,6 @@ let suite =
     Alcotest.test_case "parallel sweep: CSV identical" `Quick test_parallel_csv_identical;
     Alcotest.test_case "parallel sweep: metrics identical" `Quick test_parallel_metrics_identical;
     Alcotest.test_case "parallel BSP sweep: rows identical" `Quick test_parallel_bsp_identical;
+    Alcotest.test_case "miss-rate sweeps: bit-exact digest" `Quick test_missrate_digest;
+    Alcotest.test_case "BSP pair: bit-exact digest" `Quick test_bsp_digest;
   ]

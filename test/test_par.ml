@@ -62,6 +62,38 @@ let prop_order_under_random_durations =
       in
       out = Array.map fst input)
 
+exception Job_failed of int
+
+(* Whatever the job count and however the jobs race, the exception that
+   comes out is the one from the lowest failing index — the one
+   [Array.map] raises at jobs=1. Random spins scramble completion order
+   so a higher index often fails first in wall-clock time. *)
+let prop_lowest_failure_raised =
+  QCheck.Test.make ~name:"Par.map raises the lowest failing index" ~count:60
+    QCheck.(
+      pair (int_range 2 8)
+        (list_of_size (Gen.int_range 1 40) (pair (int_bound 3) (int_bound 40))))
+    (fun (jobs, spec) ->
+      let input =
+        Array.of_list (List.mapi (fun i (fail, spin) -> (i, fail = 0, spin)) spec)
+      in
+      let expected =
+        Array.fold_right
+          (fun (i, fails, _) acc -> if fails then Some i else acc)
+          input None
+      in
+      let job (i, fails, spin) =
+        let acc = ref 0 in
+        for k = 0 to spin * 1000 do
+          acc := !acc + k
+        done;
+        ignore !acc;
+        if fails then raise (Job_failed i) else i
+      in
+      match Par.map (Par.Pool.create ~jobs) job input with
+      | _ -> expected = None
+      | exception Job_failed i -> expected = Some i)
+
 let suite =
   [
     Alcotest.test_case "pool clamps job count" `Quick test_pool_clamps;
@@ -69,4 +101,5 @@ let suite =
     Alcotest.test_case "map matches sequential for any jobs" `Quick test_map_matches_sequential;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     to_alcotest prop_order_under_random_durations;
+    to_alcotest prop_lowest_failure_raised;
   ]

@@ -48,7 +48,7 @@ let prop_pq_remove_keeps_order =
    stolen). The model is a list kept sorted by (key, insertion seq);
    removal by id mirrors [Prio_queue.remove]'s first-match contract. *)
 
-type pq_op = Pq_add of int | Pq_pop | Pq_remove of int
+type pq_op = Pq_add of int | Pq_pop | Pq_remove of int | Pq_min | Pq_drop_min
 
 let pq_op_gen =
   QCheck.Gen.(
@@ -58,7 +58,12 @@ let pq_op_gen =
         (5, map (fun k -> Pq_add k) (int_bound 7));
         (3, return Pq_pop);
         (2, map (fun i -> Pq_remove i) (int_bound 40));
+        (2, return Pq_min);
+        (2, return Pq_drop_min);
       ])
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let prop_pq_model =
   QCheck.Test.make ~name:"prio_queue: heap order + FIFO ties vs model"
@@ -105,7 +110,24 @@ let prop_pq_model =
             | [ (_, _, id) ], rest ->
               model := rest;
               got = Some id
-            | _ -> false))
+            | _ -> false)
+          | Pq_min -> (
+            (* The allocation-free head accessors agree with [peek]. *)
+            match !model with
+            | [] ->
+              raises_invalid (fun () -> Prio_queue.min_key q)
+              && raises_invalid (fun () -> Prio_queue.min_value q)
+            | (k, _, id) :: _ ->
+              Int64.equal (Prio_queue.min_key q) (Int64.of_int k)
+              && Prio_queue.min_value q = id
+              && Prio_queue.peek q = Some (Int64.of_int k, id))
+          | Pq_drop_min -> (
+            match !model with
+            | [] -> raises_invalid (fun () -> Prio_queue.drop_min q)
+            | _ :: rest ->
+              Prio_queue.drop_min q;
+              model := rest;
+              true))
         ops
       && Prio_queue.length q = List.length !model
       &&
@@ -150,12 +172,20 @@ let prop_eq_sorted_with_cancels =
    cancels and requeues through stored handles, and pops — and demand
    they agree on every observation. *)
 
+(* The engine's in-flight protocol rides along: [next_tick] (which
+   memoizes the minimum), [take] followed by [finish] or by
+   [defer_inflight], and a cancel of the current minimum right after a
+   [next_tick] — each one a chance for a stale memoized minimum to show. *)
 type eq_op =
   | Eq_add of int
   | Eq_far of int
   | Eq_cancel of int
   | Eq_requeue of int * int
   | Eq_pop
+  | Eq_next_tick
+  | Eq_take_finish
+  | Eq_take_defer of int
+  | Eq_cancel_min
 
 let eq_op_gen =
   QCheck.Gen.(
@@ -166,8 +196,17 @@ let eq_op_gen =
         (2, map (fun t -> Eq_far t) (int_bound 12));
         (2, map (fun i -> Eq_cancel i) (int_bound 200));
         (2, map (fun (i, t) -> Eq_requeue (i, t)) (pair (int_bound 200) (int_bound 12)));
-        (5, return Eq_pop);
+        (3, return Eq_pop);
+        (2, return Eq_next_tick);
+        (2, return Eq_take_finish);
+        (2, map (fun t -> Eq_take_defer t) (int_bound 12));
+        (2, return Eq_cancel_min);
       ])
+
+let heap_tick h =
+  match Heap_queue.peek_time h with
+  | None -> Event_queue.no_tick
+  | Some t -> Int64.to_int t
 
 let prop_eq_wheel_matches_heap =
   QCheck.Test.make ~name:"timing wheel matches reference heap" ~count:400
@@ -184,6 +223,36 @@ let prop_eq_wheel_matches_heap =
         let id = !n in
         hs := (Event_queue.add w ~time id, Heap_queue.add h ~time id) :: !hs;
         incr n
+      in
+      (* The live pair that fires next: earliest time, and among equal
+         times the oldest insertion. [hs] is newest first and every
+         (re)insertion goes to its front, so the last minimal pair wins. *)
+      let live_min () =
+        List.fold_left
+          (fun best (wh, he) ->
+            if not (Heap_queue.is_live he) then best
+            else
+              match best with
+              | Some (_, be)
+                when Int64.compare (Heap_queue.entry_time be)
+                       (Heap_queue.entry_time he)
+                     < 0 ->
+                best
+              | Some _ | None -> Some (wh, he))
+          None !hs
+      in
+      (* [take] must hand out what the heap pops. *)
+      let take_matches () =
+        let wh = Event_queue.take w in
+        match Heap_queue.pop h with
+        | None -> if wh = Event_queue.none then Some None else None
+        | Some (time, p) ->
+          if
+            wh <> Event_queue.none
+            && Event_queue.inflight_tick w wh = Int64.to_int time
+            && Event_queue.payload w wh = p
+          then Some (Some (wh, p))
+          else None
       in
       let step op =
         match op with
@@ -219,11 +288,45 @@ let prop_eq_wheel_matches_heap =
               end;
               true)
         | Eq_pop -> Event_queue.pop w = Heap_queue.pop h
+        | Eq_next_tick -> Event_queue.next_tick w = heap_tick h
+        | Eq_take_finish -> (
+          match take_matches () with
+          | None -> false
+          | Some None -> true
+          | Some (Some (wh, _)) ->
+            Event_queue.finish w wh;
+            true)
+        | Eq_take_defer t -> (
+          match take_matches () with
+          | None -> false
+          | Some None -> true
+          | Some (Some (wh, p)) ->
+            (* Ask for the minimum while the entry is in flight, as a
+               handler may; the deferral must not leave that answer
+               standing. The wheel keeps the owner's handle; the heap
+               re-adds. *)
+            Event_queue.next_tick w = heap_tick h
+            &&
+            let time = Int64.of_int t in
+            Event_queue.defer_inflight w wh ~time;
+            let he = Heap_queue.add h ~time p in
+            hs := (wh, he) :: List.filter (fun (x, _) -> x <> wh) !hs;
+            Event_queue.is_live w wh)
+        | Eq_cancel_min -> (
+          Event_queue.next_tick w = heap_tick h
+          &&
+          match live_min () with
+          | None -> Event_queue.next_tick w = Event_queue.no_tick
+          | Some (wh, he) ->
+            Event_queue.cancel w wh;
+            Heap_queue.cancel h he;
+            true)
       in
       List.for_all
         (fun op ->
           step op
           && Event_queue.size w = Heap_queue.size h
+          && Event_queue.next_tick w = heap_tick h
           && Event_queue.peek_time w = Heap_queue.peek_time h)
         ops
       &&

@@ -124,6 +124,55 @@ let test_exponential_mean () =
   done;
   Alcotest.(check (float 2.0)) "mean ~ 50" 50. (!sum /. float_of_int n)
 
+(* The first eight draws of each generator at seed 42, captured before
+   the state moved from an int64 field to a byte buffer. Any change to
+   the stream shifts every simulated result, so they are pinned bit for
+   bit (floats in hex). *)
+let first_eight f =
+  let r = Rng.create 42L in
+  List.init 8 (fun _ -> f r)
+
+let test_pinned_streams () =
+  Alcotest.(check (list int64)) "next"
+    [
+      -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+      6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+      4028864712777624925L; -3677692746721775708L;
+    ]
+    (first_eight Rng.next);
+  let floats name expected f =
+    Alcotest.(check (list string)) name
+      (List.map (Printf.sprintf "%h") expected)
+      (List.map (Printf.sprintf "%h") (first_eight f))
+  in
+  floats "float"
+    [
+      0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+      0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+      0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1;
+    ]
+    Rng.float;
+  floats "gaussian mu=3000 sigma=300"
+    [
+      0x1.868d4f4237939p+11; 0x1.558de470fed4fp+11; 0x1.b7dc17f910f47p+11;
+      0x1.8b75f4c8b1cccp+11; 0x1.4e7c091f30929p+11; 0x1.344b0eee712cep+11;
+      0x1.4c0a1025a6857p+11; 0x1.80c4533eb2e83p+11;
+    ]
+    (fun r -> Rng.gaussian r ~mu:3000. ~sigma:300.);
+  floats "exponential mean=50"
+    [
+      0x1.de636107cffb2p+3; 0x1.6ea0da6ef7c3bp+6; 0x1.ff308dd6d349ep+5;
+      0x1.aa9faddd07d9ap+5; 0x1.46f00371466fcp+7; 0x1.c429a577b44e5p+2;
+      0x1.3047d8bd4f21fp+6; 0x1.63c43497afffcp+3;
+    ]
+    (fun r -> Rng.exponential r ~mean:50.);
+  Alcotest.(check (list int)) "int 1000"
+    [ 706; 145; 929; 882; 625; 531; 462; 954 ]
+    (first_eight (fun r -> Rng.int r 1000));
+  Alcotest.(check (list int64)) "range_ns [100, 200000)"
+    [ 12006L; 195745L; 132129L; 173382L; 183125L; 50631L; 26062L; 178254L ]
+    (first_eight (fun r -> Rng.range_ns r 100L 200_000L))
+
 let suite =
   [
     Alcotest.test_case "determinism per seed" `Quick test_determinism;
@@ -138,4 +187,5 @@ let suite =
     Alcotest.test_case "int modulo-bias regression" `Quick test_int_unbiased;
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
+    Alcotest.test_case "seed-42 streams pinned" `Quick test_pinned_streams;
   ]

@@ -394,6 +394,39 @@ let test_device_irq_charges_cpu () =
   let t = Time.to_float_ms th.Thread.cpu_time in
   Alcotest.(check bool) "thread lost handler time" true (t > 7.0 && t < 9.5)
 
+(* The allocation budget of the scheduler pass, the counterpart of the
+   engine's "steady-state allocation bound" (test_engine), which covers
+   the bare event loop only. The hot-path lint flags closures, tuples
+   and options, but it cannot see an int64 or float being boxed, and
+   that is where most of the pass's words went: before the RNG state,
+   the accounting summaries and the cost-draw chain were unboxed this
+   point allocated ~197 words per engine event in the test (dev) build.
+   The point is the Quick Fig 6 point at the feasibility edge: Phi, one
+   periodic thread, 10 us period, 50 % slice, admission control off. *)
+let test_pass_allocation_budget () =
+  let config = { Config.default with Config.admission_control = false } in
+  let sys =
+    Scheduler.create ~seed:42L ~num_cpus:2 ~config ~obs:Hrt_obs.Sink.null phi
+  in
+  ignore
+    (Hrt_harness.Exp.periodic_thread sys ~cpu:1 ~period:(Time.us 10)
+       ~slice:(Time.us 5) ());
+  (* Warm-up: admission, queue pools and wheel reach steady state. *)
+  Scheduler.run ~until:(Time.ms 5) sys;
+  let eng = Scheduler.engine sys in
+  let events0 = Engine.events_executed eng in
+  let words0 = Gc.minor_words () in
+  Scheduler.run ~until:(Time.ms 30) sys;
+  let words = Gc.minor_words () -. words0 in
+  let events = Engine.events_executed eng - events0 in
+  Alcotest.(check bool) "the window ran events" true (events > 1000);
+  let per_event = words /. float_of_int events in
+  if per_event > 128. then
+    Alcotest.failf
+      "scheduler pass allocation: %.1f minor words per event over %d events \
+       (budget 128)"
+      per_event events
+
 let suite =
   [
     Alcotest.test_case "periodic lifecycle" `Quick test_periodic_lifecycle;
@@ -419,4 +452,6 @@ let suite =
     Alcotest.test_case "rephase shifts schedule" `Quick test_rephase_shifts_schedule;
     Alcotest.test_case "end-to-end determinism" `Quick test_determinism_end_to_end;
     Alcotest.test_case "device irq charges the thread" `Quick test_device_irq_charges_cpu;
+    Alcotest.test_case "scheduler pass allocation budget" `Quick
+      test_pass_allocation_budget;
   ]
