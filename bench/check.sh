@@ -1,6 +1,9 @@
 #!/bin/sh
-# CI gate: type-check, run the full test suite, then verify that the
-# observability layer costs nothing when disabled (bench/overhead_check.ml).
+# CI gate: type-check, run the full test suite and the lint, verify that
+# the observability layer costs nothing when disabled
+# (bench/overhead_check.ml), then smoke the admission CLI, run --csv and
+# the serving daemon. The performance gate is bench/gate.py over hrtbench
+# runs (CI's hrtbench job).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,11 +19,6 @@ dune exec hrt_lint -- --root . lib bin
 
 echo "== observability overhead gate =="
 dune exec bench/overhead_check.exe
-
-echo "== engine core smoke bench (quick) =="
-# Small sizes: proves the harness runs and the wheel still beats the
-# reference heap; the full-size regression gate is CI's enginebench job.
-dune exec bin/hrt_sim.exe -- enginebench --quick --out /tmp/BENCH_engine_quick.json
 
 echo "== analytical admission smoke =="
 # A feasible set must be admitted (exit 0) with a certificate that
@@ -50,13 +48,32 @@ for policy in edf rm; do
     exit 1
   fi
 done
-dune exec bin/hrt_sim.exe -- admitbench --quick --out /tmp/BENCH_admit_quick.json
+# admit batch splits a set line on spaces and tabs, as the daemon does.
+status=0
+printf 'P:1000:300\tP:500:100\n' |
+  dune exec bin/hrt_sim.exe -- admit batch - >/tmp/hrt_batch_tab.txt ||
+  status=$?
+cat /tmp/hrt_batch_tab.txt
+if [ "$status" -ne 0 ] || ! grep -q '^set 1: admitted' /tmp/hrt_batch_tab.txt; then
+  echo "check.sh: admit batch did not admit a tab-separated set" >&2
+  exit 1
+fi
+
+echo "== run --csv runs each experiment once =="
+# Writing the tables as CSV must not run the experiment a second time:
+# the metrics of a run with --csv equal those of the same run without.
+csv_dir=/tmp/hrt-csv-$$
+dune exec bin/hrt_sim.exe -- run --metrics-out /tmp/hrt_metrics_plain.csv \
+  fig14 >/dev/null
+dune exec bin/hrt_sim.exe -- run --csv "$csv_dir" \
+  --metrics-out /tmp/hrt_metrics_csv.csv fig14 >/dev/null
+rm -rf "$csv_dir"
+if ! cmp /tmp/hrt_metrics_plain.csv /tmp/hrt_metrics_csv.csv; then
+  echo "check.sh: run --csv changed the run's metrics" >&2
+  exit 1
+fi
 
 echo "== admission serving smoke =="
-# Boot a real daemon + client round trips (cold/warm/batch) on a private
-# socket; warm replies must be byte-identical to cold. The full-size
-# regression gate is CI's serve job.
-dune exec bin/hrt_sim.exe -- servebench --quick --out /tmp/BENCH_serve_quick.json
 # An explicit --jobs 1 must boot a sequential daemon, not the default 4;
 # the boot line names the job count. The client retries with backoff
 # until the daemon has bound its socket, then drains it.

@@ -7,24 +7,21 @@
      all                      run everything
      bsp [options]            run one BSP benchmark configuration
      missrate [options]       run one period/slice miss-rate point
-     sweepbench [names...]    time sweeps at jobs=1 vs --jobs, emit JSON
      verify <trace.json>      replay a recorded trace through the verifier
      faults                   list the named fault-injection plans
      lint [paths...]          run the source-level invariant checker
      admit query <specs...>   analytical schedulability verdict + certificate
      admit batch <file>       memoized batch analysis of many task sets
      admit cross-validate     oracle vs simulator corpus agreement
-     admitbench               admission-service throughput, emit JSON
      serve [--client]         admission serving daemon / one-shot client
-     servebench               end-to-end serving throughput, emit JSON
 
    Every workload runs inside an explicit Exp.Ctx.t built from the common
    flags (--full, --policy, --jobs, --inject/--intensity/--no-degrade)
    plus the observability sink; there is no ambient mutable configuration.
 
    Exit codes: 0 success, 2 verification failure (verify subcommand or
-   --selfcheck) or sweepbench divergence, anything else is a usage/IO
-   error. *)
+   --selfcheck), anything else is a usage/IO error. The benchmark lives
+   in hrtbench/ (see its README). *)
 
 open Cmdliner
 open Hrt_engine
@@ -233,7 +230,7 @@ let run_cmd =
             (fun name ->
               match Registry.find name with
               | Some e -> (
-                Registry.run_and_print ~ctx e;
+                let tables = Registry.run_and_print ~ctx e in
                 match csv_dir with
                 | None -> ()
                 | Some dir ->
@@ -247,7 +244,7 @@ let run_cmd =
                         ~header:(Hrt_stats.Table.headers table)
                         (Hrt_stats.Table.to_rows table);
                       Printf.printf "wrote %s\n" path)
-                    (e.Registry.run ctx))
+                    tables)
               | None ->
                 Printf.eprintf "unknown experiment %S; try `hrt_sim list`\n"
                   name;
@@ -268,7 +265,9 @@ let all_cmd =
   let run scale trace_out metrics_out selfcheck policy jobs =
     with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
         let ctx = Exp.Ctx.make ~scale ~policy ~sink ~jobs () in
-        List.iter (Registry.run_and_print ~ctx) Registry.all)
+        List.iter
+          (fun e -> ignore (Registry.run_and_print ~ctx e))
+          Registry.all)
   in
   Cmd.v (Cmd.info "all" ~doc)
     Term.(
@@ -394,170 +393,6 @@ let missrate_cmd =
       const run $ platform $ period_us $ slice_pct $ ms $ policy_term
       $ inject_term $ intensity_term $ no_degrade_term $ trace_out_term
       $ metrics_out_term $ selfcheck_term)
-
-(* ---- sweepbench ---- *)
-
-let sweepbench_cmd =
-  let doc = "Time sweeps sequentially vs parallel and check determinism." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Runs each named experiment twice — once at jobs=1 and once at \
-         $(b,--jobs) — and records wall time, speedup, and whether the \
-         rendered tables are byte-identical (they must be: parallel \
-         sweeps merge results by submission index). The samples are \
-         written as JSON to $(b,--out) for CI to archive.";
-      `P
-        "Exit status is 2 when any sweep's parallel output diverges from \
-         its sequential output.";
-    ]
-  in
-  let names =
-    Arg.(
-      value
-      & pos_all string [ "fig13" ]
-      & info [] ~docv:"NAME"
-          ~doc:"Experiments to benchmark (default: fig13).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_sweep.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON artifact.")
-  in
-  let run scale policy jobs out names =
-    let ctx = Exp.Ctx.make ~scale ~policy ~jobs () in
-    let entries =
-      List.map
-        (fun name ->
-          match Registry.find name with
-          | Some e -> e
-          | None ->
-            Printf.eprintf "unknown experiment %S; try `hrt_sim list`\n" name;
-            exit 1)
-        names
-    in
-    let samples =
-      List.map
-        (fun e ->
-          let s = Bench_sweep.measure ~ctx e in
-          Printf.printf
-            "%-18s seq=%.2fs  par(jobs=%d)=%.2fs  speedup=%.2fx  \
-             identical=%b\n%!"
-            s.Bench_sweep.name s.Bench_sweep.seq_seconds s.Bench_sweep.jobs
-            s.Bench_sweep.par_seconds s.Bench_sweep.speedup
-            s.Bench_sweep.identical;
-          s)
-        entries
-    in
-    Bench_sweep.write ~path:out ~jobs:ctx.Exp.Ctx.jobs samples;
-    Printf.printf "wrote %s\n" out;
-    if List.exists (fun s -> not s.Bench_sweep.identical) samples then begin
-      Printf.eprintf
-        "sweepbench: parallel output diverges from sequential output\n";
-      exit 2
-    end
-  in
-  Cmd.v (Cmd.info "sweepbench" ~doc ~man)
-    Term.(const run $ scale_term $ policy_term $ jobs_term $ out $ names)
-
-(* ---- enginebench ---- *)
-
-let enginebench_cmd =
-  let doc = "Benchmark the engine core: timing wheel vs reference heap." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Drives three self-rescheduling workloads through the event core — \
-         the current timing-wheel engine with cached actions, the same \
-         engine with a fresh closure per event, and the original \
-         binary-heap-plus-closures core — reporting events/sec and minor \
-         words allocated per event for each, plus a fixed-population churn \
-         pass that locates the wheel-vs-heap ns/op crossover. The result \
-         is written as JSON to $(b,--out).";
-      `P
-        "With $(b,--check-against), the measured wheel throughput is \
-         compared to a committed baseline artifact and the exit status is \
-         2 when it regresses by more than $(b,--tolerance).";
-    ]
-  in
-  let events =
-    Arg.(
-      value
-      & opt int 1_000_000
-      & info [ "events" ] ~docv:"N" ~doc:"Events per workload.")
-  in
-  let sources =
-    Arg.(
-      value
-      & opt int 512
-      & info [ "sources" ] ~docv:"N"
-          ~doc:"Concurrent event sources (steady-state queue depth).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_engine.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON artifact.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Small sizes for smoke-testing the harness (CI check.sh).")
-  in
-  let check_against =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Committed baseline artifact to gate against.")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float 0.2
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Allowed fractional events/sec regression (default 0.2).")
-  in
-  let run events sources out quick check_against tolerance =
-    let events, sources, churn_ops =
-      if quick then (120_000, 256, 40_000) else (events, sources, 200_000)
-    in
-    let r = Hrt_harness.Engine_bench.measure ~events ~sources ~churn_ops in
-    List.iter
-      (fun s ->
-        Printf.printf "%-16s %9.0f events/s  %6.2f minor words/event\n%!"
-          s.Hrt_harness.Engine_bench.name
-          s.Hrt_harness.Engine_bench.events_per_sec
-          s.Hrt_harness.Engine_bench.minor_words_per_event)
-      r.Hrt_harness.Engine_bench.samples;
-    Printf.printf "speedup vs heap baseline: %.2fx\n"
-      r.Hrt_harness.Engine_bench.speedup;
-    List.iter
-      (fun c ->
-        Printf.printf "churn n=%-6d wheel %6.1f ns/op  heap %6.1f ns/op\n"
-          c.Hrt_harness.Engine_bench.size
-          c.Hrt_harness.Engine_bench.wheel_ns_per_op
-          c.Hrt_harness.Engine_bench.heap_ns_per_op)
-      r.Hrt_harness.Engine_bench.crossovers;
-    Hrt_harness.Engine_bench.write r ~path:out;
-    Printf.printf "wrote %s\n" out;
-    match check_against with
-    | None -> ()
-    | Some path -> (
-      match Hrt_harness.Engine_bench.check_against r ~path ~tolerance with
-      | Ok base ->
-        Printf.printf "baseline %s: %.0f events/s, within tolerance\n" path base
-      | Error msg ->
-        Printf.eprintf "enginebench: %s\n" msg;
-        exit 2)
-  in
-  Cmd.v (Cmd.info "enginebench" ~doc ~man)
-    Term.(
-      const run $ events $ sources $ out $ quick $ check_against $ tolerance)
 
 (* ---- verify ---- *)
 
@@ -842,8 +677,7 @@ let admit_batch_cmd =
       |> List.filter (fun line -> line <> "" && line.[0] <> '#')
       |> List.mapi (fun i line ->
              let specs =
-               String.split_on_char ' ' line
-               |> List.filter (fun t -> t <> "")
+               Hrt_serve.Protocol.tokens_of line
                |> List.map (fun t ->
                       match parse_spec t with
                       | Ok c -> c
@@ -938,97 +772,6 @@ let admit_cmd =
   Cmd.group
     (Cmd.info "admit" ~doc)
     [ admit_query_cmd; admit_batch_cmd; admit_xval_cmd ]
-
-(* ---- admitbench ---- *)
-
-let admitbench_cmd =
-  let doc = "Benchmark the admission service: cold vs warm cache, jobs=1 vs N." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Analyzes a randomized corpus once cold (every query runs the \
-         exact test), then repeatedly warm (every query is a fingerprint \
-         plus a cache hit), sequentially and fanned across $(b,--jobs) \
-         domains, reporting queries/sec for each regime. The result is \
-         written as JSON to $(b,--out).";
-      `P
-        "With $(b,--check-against), the measured warm-cache throughput is \
-         compared to a committed baseline artifact and the exit status is \
-         2 when it regresses by more than $(b,--tolerance) — or when the \
-         parallel batch output diverges from the sequential one.";
-    ]
-  in
-  let sets =
-    Arg.(
-      value & opt int 256
-      & info [ "sets" ] ~docv:"N" ~doc:"Distinct task sets in the corpus.")
-  in
-  let repeats =
-    Arg.(
-      value & opt int 40
-      & info [ "repeats" ] ~docv:"N" ~doc:"Warm passes over the corpus.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_admit.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON artifact.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Small sizes for smoke-testing the harness (CI check.sh).")
-  in
-  let check_against =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Committed baseline artifact to gate against.")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float 0.2
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Allowed fractional warm-q/s regression (default 0.2).")
-  in
-  let run jobs sets repeats out quick check_against tolerance =
-    let sets, repeats = if quick then (48, 6) else (sets, repeats) in
-    let jobs = if jobs > 1 then jobs else 4 in
-    let r = Admit_bench.measure ~sets ~repeats ~jobs () in
-    Printf.printf
-      "cold  %9.0f queries/s  (%d sets, exact analysis)\n\
-       warm  %9.0f queries/s  (%dx speedup, %d hits / %d misses)\n\
-       par   %9.0f queries/s  (jobs=%d, identical=%b)\n"
-      r.Admit_bench.cold_qps r.Admit_bench.sets r.Admit_bench.warm_qps
-      (int_of_float r.Admit_bench.warm_speedup)
-      r.Admit_bench.hits r.Admit_bench.misses r.Admit_bench.par_qps
-      r.Admit_bench.jobs r.Admit_bench.identical;
-    Admit_bench.write r ~path:out;
-    Printf.printf "wrote %s\n" out;
-    if not r.Admit_bench.identical then begin
-      Printf.eprintf
-        "admitbench: parallel batch diverges from sequential output\n";
-      exit 2
-    end;
-    match check_against with
-    | None -> ()
-    | Some path -> (
-      match Admit_bench.check_against r ~path ~tolerance with
-      | Ok base ->
-        Printf.printf "baseline %s: %.0f queries/s, within tolerance\n" path
-          base
-      | Error msg ->
-        Printf.eprintf "admitbench: %s\n" msg;
-        exit 2)
-  in
-  Cmd.v (Cmd.info "admitbench" ~doc ~man)
-    Term.(
-      const run $ jobs_term $ sets $ repeats $ out $ quick $ check_against
-      $ tolerance)
 
 (* ---- serve ---- *)
 
@@ -1210,96 +953,6 @@ let serve_cmd =
       $ tcp $ client $ requests $ max_queue $ max_batch $ deadline_ms
       $ timeout_ms $ attempts $ trace_out_term $ metrics_out_term)
 
-(* ---- servebench ---- *)
-
-let servebench_cmd =
-  let doc = "Benchmark the serving daemon end to end: cold vs warm queries/sec." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Boots a real daemon on a private Unix socket in a spawned domain \
-         and drives it with the client over a randomized corpus: once \
-         cold (every round trip pays a full oracle analysis), then \
-         repeatedly warm (framing + fingerprint + cache hit), then in \
-         batch frames. Warm replies are compared byte-for-byte to the \
-         cold ones. The result is written as JSON to $(b,--out).";
-      `P
-        "With $(b,--check-against), the measured warm serving throughput \
-         is compared to a committed baseline artifact and the exit \
-         status is 2 when it regresses by more than $(b,--tolerance) — \
-         or when warm replies diverge from cold.";
-    ]
-  in
-  let sets =
-    Arg.(
-      value & opt int 192
-      & info [ "sets" ] ~docv:"N" ~doc:"Distinct task sets in the corpus.")
-  in
-  let repeats =
-    Arg.(
-      value & opt int 24
-      & info [ "repeats" ] ~docv:"N" ~doc:"Warm passes over the corpus.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON artifact.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Small sizes for smoke-testing the harness (CI check.sh).")
-  in
-  let check_against =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Committed baseline artifact to gate against.")
-  in
-  let tolerance =
-    Arg.(
-      value
-      & opt float 0.2
-      & info [ "tolerance" ] ~docv:"FRAC"
-          ~doc:"Allowed fractional warm-q/s regression (default 0.2).")
-  in
-  let run jobs sets repeats out quick check_against tolerance =
-    let module B = Hrt_serve.Serve_bench in
-    let sets, repeats = if quick then (32, 4) else (sets, repeats) in
-    let jobs = if jobs > 1 then jobs else 4 in
-    let r = B.measure ~sets ~repeats ~jobs () in
-    Printf.printf
-      "cold  %9.0f queries/s  (%d sets over the wire, exact analysis)\n\
-       warm  %9.0f queries/s  (%.1fx speedup, %d hits / %d misses)\n\
-       batch %9.0f queries/s  (%d sets per frame, identical=%b, shed=%d)\n"
-      r.B.cold_qps r.B.sets r.B.warm_qps r.B.warm_speedup r.B.hits r.B.misses
-      r.B.batch_qps r.B.batch_size r.B.identical r.B.shed;
-    B.write r ~path:out;
-    Printf.printf "wrote %s\n" out;
-    if not r.B.identical then begin
-      Printf.eprintf "servebench: warm replies diverge from cold replies\n";
-      exit 2
-    end;
-    match check_against with
-    | None -> ()
-    | Some path -> (
-      match B.check_against r ~path ~tolerance with
-      | Ok base ->
-        Printf.printf "baseline %s: %.0f queries/s, within tolerance\n" path
-          base
-      | Error msg ->
-        Printf.eprintf "servebench: %s\n" msg;
-        exit 2)
-  in
-  Cmd.v (Cmd.info "servebench" ~doc ~man)
-    Term.(
-      const run $ jobs_term $ sets $ repeats $ out $ quick $ check_against
-      $ tolerance)
-
 let () =
   let doc = "Hard real-time scheduling for parallel run-time systems (HPDC'18 reproduction)." in
   let info = Cmd.info "hrt_sim" ~version:"1.0.0" ~doc in
@@ -1312,13 +965,9 @@ let () =
             all_cmd;
             bsp_cmd;
             missrate_cmd;
-            sweepbench_cmd;
-            enginebench_cmd;
             verify_cmd;
             faults_cmd;
             lint_cmd;
             admit_cmd;
-            admitbench_cmd;
             serve_cmd;
-            servebench_cmd;
           ]))

@@ -3,7 +3,9 @@
     Events are ordered by (time, sequence number): two events at the same
     simulated instant fire in insertion order, and a {!requeue} counts as
     a fresh insertion. The pop sequence is bit-identical to the reference
-    binary heap ({!Heap_queue}); the representation differs only in cost:
+    binary heap the engine started with (kept in [test/heap_queue.ml] and
+    property-tested against this queue); the representation differs only
+    in cost:
 
     - 4 levels x 256 slots, 1 ns per level-0 slot, so add / cancel /
       requeue of anything within 2^32 ns of the cursor is O(1). Events

@@ -115,15 +115,12 @@ let all =
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-let time_run ?ctx entry =
+let run_and_print ?ctx entry =
   let ctx = Exp.or_default ctx in
   let t0 = Clock.now () in
   let tables = entry.run ctx in
-  (tables, Clock.now () -. t0)
-
-let run_and_print ?ctx entry =
-  let ctx = Exp.or_default ctx in
-  let tables, elapsed = time_run ~ctx entry in
+  let elapsed = Clock.now () -. t0 in
   List.iter Hrt_stats.Table.print tables;
   Printf.printf "[%s completed in %.1fs wall, jobs=%d]\n\n%!" entry.name
-    elapsed ctx.Exp.Ctx.jobs
+    elapsed ctx.Exp.Ctx.jobs;
+  tables

@@ -11,9 +11,6 @@ val all : entry list
 
 val find : string -> entry option
 
-val time_run : ?ctx:Exp.Ctx.t -> entry -> Hrt_stats.Table.t list * float
-(** Execute the entry under [ctx] (default {!Exp.or_default}[ None]) and
-    return its tables plus the wall-clock seconds the run took. *)
-
-val run_and_print : ?ctx:Exp.Ctx.t -> entry -> unit
-(** Execute and print the entry's tables, with a wall-clock note. *)
+val run_and_print : ?ctx:Exp.Ctx.t -> entry -> Hrt_stats.Table.t list
+(** Execute the entry once under [ctx] (default {!Exp.or_default}[ None]),
+    print its tables with a wall-clock note, and return them. *)

@@ -105,6 +105,10 @@ val parse_spec : string -> (Constraints.t, string) result
     [hrt_sim admit] command line. Fields are integers in
     [1, {!max_spec_us}]. *)
 
+val tokens_of : string -> string list
+(** The non-empty tokens of a line split on spaces and tabs: how request
+    payloads, and [hrt_sim admit batch] lines, are tokenized. *)
+
 val parse_request : string -> (request, error) result
 
 (* ---- replies ---- *)
