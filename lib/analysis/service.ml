@@ -44,13 +44,22 @@ let create ?(shards = 8) ?(capacity = 1024) () =
     evictions = Atomic.make 0;
   }
 
-(* Shard choice folds the fingerprint's own bytes instead of
+(* Shard choice folds the key's own bytes, eight at a time, instead of
    [Hashtbl.hash], so the mapping is fixed by the key alone — stable
-   across runs, domains, and compiler versions. *)
+   across runs, domains, and compiler versions. The final shift brings
+   the high bits, which every byte reaches through the multiplications,
+   down to the low bits the modulus reads. *)
+let rec fold_key key i h =
+  let n = String.length key in
+  if i + 8 <= n then
+    fold_key key (i + 8)
+      ((h lxor Int64.to_int (String.get_int64_le key i)) * 0x100000001b3)
+  else if i < n then
+    fold_key key (i + 1) ((h lxor Char.code key.[i]) * 0x100000001b3)
+  else h lxor (h lsr 32)
+
 let shard_of t key =
-  let h = ref 0 in
-  String.iter (fun c -> h := ((!h * 31) + Char.code c) land max_int) key;
-  t.shards.(!h mod Array.length t.shards)
+  t.shards.((fold_key key 0 0 land max_int) mod Array.length t.shards)
 
 (* Insert under the shard lock, evicting FIFO at capacity. Single-flight
    guarantees one insert per distinct computation, so the eviction queue

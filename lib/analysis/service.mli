@@ -1,12 +1,15 @@
 (** Batched, memoized admission analysis.
 
     A service front-ends {!Oracle.analyze} with a sharded cache keyed by
-    {!Taskset.fingerprint}: permutations of the same constraint multiset
-    hit the same entry. Shards are mutex-guarded and the counters are
-    atomic, so one service may be shared by the domains of a {!Hrt_par.Par}
-    fan-out; because the oracle is deterministic, results are identical
-    for any interleaving — a batch at [jobs = n] returns byte-identical
-    verdicts to the same batch at [jobs = 1]. *)
+    {!Taskset.fingerprint} itself: permutations of the same constraint
+    multiset hit the same entry, and because the key is the injective
+    encoding (no digest), a hit is exact — two sets share an entry only
+    when they agree on every field the analysis reads. The shard is a
+    fixed function of the key's bytes. Shards are mutex-guarded and the
+    counters are atomic, so one service may be shared by the domains of
+    a {!Hrt_par.Par} fan-out; because the oracle is deterministic,
+    results are identical for any interleaving — a batch at [jobs = n]
+    returns byte-identical verdicts to the same batch at [jobs = 1]. *)
 
 open Hrt_par
 

@@ -69,8 +69,9 @@ let compare_key x y =
 
 (* Fixed-width binary encoding: the analysis-relevant config fields (the
    policy name length-prefixed, floats as their exact bits), then the
-   sorted task keys at 17 bytes each — injective, so two sets share a
-   digest only when they agree on every field the analysis reads. *)
+   sorted task keys at 17 bytes each. It is injective, so it is itself
+   the cache key: two sets share it only when they agree on every field
+   the analysis reads. *)
 let fingerprint t =
   let cfg = t.config in
   let keys = List.sort compare_key (List.map task_key t.tasks) in
@@ -99,7 +100,7 @@ let fingerprint t =
       Buffer.add_int64_le b k.a;
       Buffer.add_int64_le b k.b)
     keys;
-  Digest.string (Buffer.contents b)
+  Buffer.contents b
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%d tasks under %s (overhead %Ldns):@,%a@]"

@@ -42,12 +42,15 @@ val raw_view : policy:Config.policy -> Constraints.t list -> t
     certificate under this view means no schedule exists at all. *)
 
 val fingerprint : t -> string
-(** The {!Service} cache key: the raw 16-byte MD5 digest of a fixed-width
-    binary encoding of the analysis-relevant configuration fields (floats
-    by their exact bits) followed by the per-task [(kind, a, b)] keys in
-    sorted order — periodic [(period, slice)], sporadic
+(** The {!Service} cache key: a fixed-width binary encoding of the
+    analysis-relevant configuration fields (policy name length-prefixed,
+    floats by their exact bits; [52 + String.length policy_name] bytes)
+    followed by the per-task [(kind, a, b)] keys in sorted order, 17
+    bytes each — periodic [(period, slice)], sporadic
     [(size, deadline - phase)], aperiodic zeros. Two task sets that
     differ only by task order, by periodic phases, or by sporadic
-    anchoring (same size and laxity window) share a fingerprint. *)
+    anchoring (same size and laxity window) share a fingerprint. The
+    encoding is injective and not hashed, so equal fingerprints mean
+    equal analyses. *)
 
 val pp : Format.formatter -> t -> unit

@@ -101,52 +101,56 @@ module Decoder = struct
     t.state <- Failed e;
     `Error e
 
+  (* Offset of the first newline among the [limit] unread bytes from
+     [i] on, or [limit]. *)
+  let rec newline t i limit =
+    if i = limit || Buffer.nth t.acc (t.pos + i) = '\n' then i
+    else newline t (i + 1) limit
+
+  let rec tagged t k =
+    k = String.length tag
+    || (Buffer.nth t.acc (t.pos + k) = tag.[k] && tagged t (k + 1))
+
+  (* The length field, unread bytes [k, nl), in ASCII decimal: -1 when
+     it is empty or holds anything but digits. At most ten digits fit
+     in a header, so the value cannot overflow. *)
+  let rec length_field t k nl n =
+    if k = nl then n
+    else
+      match Buffer.nth t.acc (t.pos + k) with
+      | '0' .. '9' as c ->
+        length_field t (k + 1) nl ((n * 10) + Char.code c - Char.code '0')
+      | _ -> -1
+
   (* The header is complete when its newline is in the buffer; anything
      longer than [max_header] without one has lost framing. *)
   let try_header t =
     let len = available t in
     let limit = Stdlib.min len max_header in
-    let nl = ref (-1) in
-    (try
-       for i = 0 to limit - 1 do
-         if Buffer.nth t.acc (t.pos + i) = '\n' then begin
-           nl := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    if !nl < 0 then
+    let nl = newline t 0 limit in
+    if nl = limit then
       if len >= max_header then
-        let prefix = Buffer.sub t.acc t.pos (Stdlib.min len max_header) in
+        let prefix = Buffer.sub t.acc t.pos limit in
         if
           len >= String.length tag
           && String.sub prefix 0 (String.length tag) <> tag
         then fail t (Bad_magic prefix)
         else fail t (Bad_length prefix)
       else `Await
-    else begin
-      let header = Buffer.sub t.acc t.pos !nl in
-      if
-        String.length header < String.length tag
-        || String.sub header 0 (String.length tag) <> tag
-      then fail t (Bad_magic header)
+    else if nl < String.length tag || not (tagged t 0) then
+      fail t (Bad_magic (Buffer.sub t.acc t.pos nl))
+    else
+      let first = String.length tag in
+      let n = if nl = first then -1 else length_field t first nl 0 in
+      if n < 0 then
+        fail t (Bad_length (Buffer.sub t.acc (t.pos + first) (nl - first)))
+      else if n > t.max_frame then
+        fail t (Frame_too_large { len = n; max = t.max_frame })
       else begin
-        let digits =
-          String.sub header (String.length tag)
-            (String.length header - String.length tag)
-        in
-        match int_of_string_opt digits with
-        | Some n when n >= 0 ->
-          if n > t.max_frame then
-            fail t (Frame_too_large { len = n; max = t.max_frame })
-          else begin
-            consume t (!nl + 1);
-            t.state <- Body n;
-            `Header
-          end
-        | _ -> fail t (Bad_length digits)
+        consume t (nl + 1);
+        t.state <- Body n;
+        `Header
       end
-    end
 
   let rec next t =
     match t.state with
@@ -184,114 +188,225 @@ type request =
 
 let max_spec_us = Int64.to_int (Int64.div Int64.max_int 1_000L)
 
-let parse_spec s =
-  let pos name v =
-    match int_of_string_opt v with
-    | Some n when n > max_spec_us ->
-      Error
-        (Printf.sprintf "%s: %s exceeds the maximum %d" (sanitize s) name
-           max_spec_us)
-    | Some n when n > 0 -> Ok (Time.us n)
-    | _ ->
-      Error
-        (Printf.sprintf "%s: %s must be a positive integer" (sanitize s) name)
-  in
-  let ( let* ) = Result.bind in
-  match String.split_on_char ':' (String.uppercase_ascii s) with
-  | [ "A" ] -> Ok (Constraints.aperiodic ())
-  | [ "P"; period; slice ] ->
-    let* period = pos "period_us" period in
-    let* slice = pos "slice_us" slice in
-    Ok (Constraints.periodic ~period ~slice ())
-  | [ "S"; size; deadline ] ->
-    let* size = pos "size_us" size in
-    let* deadline = pos "deadline_us" deadline in
-    Ok (Constraints.sporadic ~size ~deadline ())
-  | _ ->
-    Error
-      (sanitize s
-      ^ ": expected P:<period_us>:<slice_us>, S:<size_us>:<deadline_us>, or A"
-      )
+(* Request payloads are read in one pass, in place: each reader takes
+   the payload and the index it starts at and returns where it stopped,
+   and a substring is cut only to quote a token in an error. Tokens are
+   separated by runs of spaces and tabs; [;] also ends a spec token and
+   separates the task sets of a batch. *)
+
+let is_blank c = c = ' ' || c = '\t'
+
+let rec skip_blanks s i =
+  if i < String.length s && is_blank (String.unsafe_get s i) then
+    skip_blanks s (i + 1)
+  else i
+
+let rec word_end s i =
+  if i < String.length s && not (is_blank (String.unsafe_get s i)) then
+    word_end s (i + 1)
+  else i
+
+let rec same_from s i word k =
+  k = String.length word
+  || (String.unsafe_get s (i + k) = word.[k] && same_from s i word (k + 1))
+
+let token_is s i j word = j - i = String.length word && same_from s i word 0
+
+(* Whether a spec token ends at [k]: at the end of [s] or, inside a
+   request, at a blank or [;]. [parse_spec] reads its whole argument as
+   one token. *)
+let[@inline] ends ~in_request s k =
+  k >= String.length s
+  || in_request
+     && match String.unsafe_get s k with ' ' | '\t' | ';' -> true | _ -> false
+
+let rec token_end ~in_request s k =
+  if ends ~in_request s k then k else token_end ~in_request s (k + 1)
+
+let rec colon_or_end ~in_request s k =
+  if ends ~in_request s k || String.unsafe_get s k = ':' then k
+  else colon_or_end ~in_request s (k + 1)
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The plain decimal digits from [k] on: their value and the index
+   after them. A digit that would take the value past [max_int] ends
+   the run early (the division runs only near that limit). *)
+let rec decimal s k n =
+  if k < String.length s && is_digit (String.unsafe_get s k) then
+    let d = Char.code (String.unsafe_get s k) - Char.code '0' in
+    if n >= max_int / 10 && n > (max_int - d) / 10 then (n, k)
+    else decimal s (k + 1) ((n * 10) + d)
+  else (n, k)
+
+(* [int_of_string_opt s.[i..j)], with -1 for [None]: every caller
+   refuses negative values too. [v] is the value of the plain decimal
+   digits [s.[i..stop)]. A field with any other character, or too many
+   digits for an [int], goes to [int_of_string_opt] itself, so every
+   spelling it accepts ([0x], [0o], [0b], [0u], [_], a sign) still
+   parses and an overflow is still [None]. *)
+let[@inline] field s i j v stop =
+  if i = j then -1
+  else if stop = j then v
+  else
+    match int_of_string_opt (String.sub s i (j - i)) with
+    | Some n -> n
+    | None -> -1
+
+let int_field s i j =
+  let v, stop = decimal s i 0 in
+  field s i j v stop
+
+let valid_field v = v > 0 && v <= max_spec_us
+
+let field_error s i j name v =
+  let tok = sanitize (String.sub s i (j - i)) in
+  if v > max_spec_us then
+    Printf.sprintf "%s: %s exceeds the maximum %d" tok name max_spec_us
+  else Printf.sprintf "%s: %s must be a positive integer" tok name
+
+let shape_error s i j =
+  sanitize (String.sub s i (j - i))
+  ^ ": expected P:<period_us>:<slice_us>, S:<size_us>:<deadline_us>, or A"
+
+(* A well-shaped spec token [s.[i..j)], letter first, from its fields'
+   values: checked in order, the first bad one named. *)
+let spec s i j a b =
+  match s.[i] with
+  | 'P' | 'p' ->
+    if not (valid_field a) then Error (field_error s i j "period_us" a)
+    else if not (valid_field b) then Error (field_error s i j "slice_us" b)
+    else Ok (Constraints.periodic ~period:(Time.us a) ~slice:(Time.us b) ())
+  | 'S' | 's' ->
+    if not (valid_field a) then Error (field_error s i j "size_us" a)
+    else if not (valid_field b) then Error (field_error s i j "deadline_us" b)
+    else Ok (Constraints.sporadic ~size:(Time.us a) ~deadline:(Time.us b) ())
+  | _ -> Error (shape_error s i j)
+
+(* The spec token at [i]: [A], or a [P]/[S] letter in either case and
+   two fields, each after one [:]. Returns the spec or the error that
+   names the token, and the index where the token ends. The shape is
+   checked before the fields. Plain decimal fields end exactly at the
+   second [:] and at the token end, so a token of them is read in one
+   pass; only other fields need the scans for the colons and the end. *)
+let read_spec ~in_request s i =
+  if ends ~in_request s (i + 1) || String.unsafe_get s (i + 1) <> ':' then
+    let j = token_end ~in_request s i in
+    if j = i + 1 && (s.[i] = 'A' || s.[i] = 'a') then
+      (Ok (Constraints.aperiodic ()), j)
+    else (Error (shape_error s i j), j)
+  else
+    let a, a_stop = decimal s (i + 2) 0 in
+    let c =
+      if a_stop < String.length s && String.unsafe_get s a_stop = ':' then
+        a_stop
+      else colon_or_end ~in_request s a_stop
+    in
+    if ends ~in_request s c then (Error (shape_error s i c), c)
+    else
+      let b, b_stop = decimal s (c + 1) 0 in
+      let j =
+        if ends ~in_request s b_stop then b_stop
+        else token_end ~in_request s b_stop
+      in
+      if j > b_stop && colon_or_end ~in_request s b_stop < j then
+        (Error (shape_error s i j), j)
+      else
+        let a = field s (i + 2) c a a_stop
+        and b = field s (c + 1) j b b_stop in
+        (spec s i j a b, j)
+
+let parse_spec s = fst (read_spec ~in_request:false s 0)
 
 let tokens_of payload =
   String.split_on_char ' ' payload
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun t -> t <> "")
 
-let parse_deadline = function
-  | tok :: rest when String.length tok > 0 && tok.[0] = '@' -> (
-    let digits = String.sub tok 1 (String.length tok - 1) in
-    match int_of_string_opt digits with
-    | Some ms when ms >= 0 -> Ok (Some ms, rest)
-    | _ -> Error (Bad_deadline tok))
-  | toks -> Ok (None, toks)
+exception Reject of error
 
-let parse_specs toks =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | tok :: rest -> (
-      match parse_spec tok with
-      | Ok c -> go (i + 1) (c :: acc) rest
-      | Error msg -> Error (Bad_spec { index = i; msg }))
-  in
-  go 0 [] toks
+let reject e = raise_notrace (Reject e)
+let one_set = Bad_request "query takes one task set; use batch for several"
+let empty_set = Bad_request "batch has an empty task set"
 
-(* Split batch tokens on ";" separators. A ";" glued to a spec token is
-   split off first — "P:1:2; P:3:4", "P:1:2 ;P:3:4", and "P:1:2 ; P:3:4"
-   all read as two sets. *)
-let split_sets toks =
-  let explode tok =
-    match String.split_on_char ';' tok with
-    | [ _ ] -> [ tok ]
-    | parts ->
-      let rec interleave = function
-        | [] -> []
-        | [ last ] -> [ last ]
-        | part :: rest -> part :: ";" :: interleave rest
-      in
-      List.filter (fun t -> t <> "") (interleave parts)
-  in
-  let rec go cur acc = function
-    | [] -> List.rev (List.rev cur :: acc)
-    | ";" :: rest -> go [] (List.rev cur :: acc) rest
-    | tok :: rest -> go (tok :: cur) acc rest
-  in
-  go [] [] (List.concat_map explode toks)
+(* Whether the sets from [i] on include an empty one; [filled] says
+   whether the set in progress already holds a spec. *)
+let rec has_empty_set s i filled =
+  if i = String.length s then not filled
+  else
+    match String.unsafe_get s i with
+    | ';' -> (not filled) || has_empty_set s (i + 1) false
+    | ' ' | '\t' -> has_empty_set s (i + 1) filled
+    | _ -> has_empty_set s (i + 1) true
 
-let parse_request payload =
-  let ( let* ) = Result.bind in
-  match tokens_of payload with
-  | [] -> Error (Bad_request "empty request")
-  | [ "stats" ] -> Ok Stats
-  | "stats" :: _ -> Error (Bad_request "stats takes no arguments")
-  | [ "drain" ] -> Ok Drain
-  | "drain" :: _ -> Error (Bad_request "drain takes no arguments")
-  | "query" :: rest ->
-    let* deadline_ms, rest = parse_deadline rest in
-    if rest = [] then Error (Bad_request "query needs at least one spec")
-    else if List.exists (fun t -> String.contains t ';') rest then
-      Error (Bad_request "query takes one task set; use batch for several")
-    else
-      let* specs = parse_specs rest in
-      Ok (Query { deadline_ms; specs })
-  | "batch" :: rest ->
-    let* deadline_ms, rest = parse_deadline rest in
-    if rest = [] then Error (Bad_request "batch needs at least one set")
-    else
-      let sets = split_sets rest in
-      if List.exists (fun set -> set = []) sets then
-        Error (Bad_request "batch has an empty task set")
-      else
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | set :: rest -> (
-            match parse_specs set with
-            | Ok specs -> go (specs :: acc) rest
-            | Error _ as e -> e)
-        in
-        let* sets = go [] sets in
-        Ok (Batch { deadline_ms; sets })
-  | verb :: _ -> Error (Bad_verb verb)
+(* The specs of one task set, from [i] to the next [;] or the end of
+   the payload, and the index where the set stopped. A bad spec yields
+   to a shape error later in the payload: any [;] in a query, an empty
+   set in a batch. *)
+let rec set_specs ~batch s i index acc =
+  let i = skip_blanks s i in
+  if i = String.length s || String.unsafe_get s i = ';' then (List.rev acc, i)
+  else
+    match read_spec ~in_request:true s i with
+    | Ok c, j -> set_specs ~batch s j (index + 1) (c :: acc)
+    | Error msg, j ->
+      if batch then (if has_empty_set s j true then reject empty_set)
+      else if String.contains_from s j ';' then reject one_set;
+      reject (Bad_spec { index; msg })
+
+(* An optional [@<ms>] token where [i] points, and where the rest of
+   the request starts. *)
+let deadline s i =
+  if i < String.length s && String.unsafe_get s i = '@' then begin
+    let j = word_end s i in
+    let ms = int_field s (i + 1) j in
+    if ms < 0 then reject (Bad_deadline (String.sub s i (j - i)));
+    (Some ms, skip_blanks s j)
+  end
+  else (None, i)
+
+let query s i =
+  let deadline_ms, i = deadline s i in
+  if i = String.length s then
+    reject (Bad_request "query needs at least one spec");
+  let specs, j = set_specs ~batch:false s i 0 [] in
+  if j < String.length s then reject one_set;
+  Query { deadline_ms; specs }
+
+let batch s i =
+  let deadline_ms, i = deadline s i in
+  if i = String.length s then
+    reject (Bad_request "batch needs at least one set");
+  let rec sets acc i =
+    match set_specs ~batch:true s i 0 [] with
+    | [], _ -> reject empty_set
+    | specs, j ->
+      if j = String.length s then List.rev (specs :: acc)
+      else sets (specs :: acc) (j + 1)
+  in
+  Batch { deadline_ms; sets = sets [] i }
+
+(* [stats] and [drain] take nothing after the verb. *)
+let bare s i verb req =
+  if i < String.length s then
+    reject (Bad_request (verb ^ " takes no arguments"))
+  else req
+
+let request s =
+  let i = skip_blanks s 0 in
+  let j = word_end s i in
+  let rest = skip_blanks s j in
+  if i = String.length s then reject (Bad_request "empty request")
+  else if token_is s i j "query" then query s rest
+  else if token_is s i j "batch" then batch s rest
+  else if token_is s i j "stats" then bare s rest "stats" Stats
+  else if token_is s i j "drain" then bare s rest "drain" Drain
+  else reject (Bad_verb (String.sub s i (j - i)))
+
+let parse_request s =
+  match request s with
+  | req -> Ok req
+  | exception Reject e -> Error e
 
 (* ---- replies ---- *)
 

@@ -5,11 +5,12 @@
 
     {v hrt1 <len>\n<payload> v}
 
-    where [<len>] is the payload byte count in ASCII decimal and the
-    payload is a single logical line of text (no framing newline of its
-    own; batch replies carry embedded newlines). The magic ["hrt1"] names
-    protocol version 1; any other prefix is a typed {!error}, as is a
-    length past the receiver's frame cap.
+    where [<len>] is the payload byte count in ASCII decimal — digits
+    only, leading zeros allowed, no sign, base prefix or underscore —
+    and the payload is a single logical line of text (no framing
+    newline of its own; batch replies carry embedded newlines). The
+    magic ["hrt1"] names protocol version 1; any other prefix is a
+    typed {!error}, as is a length past the receiver's frame cap.
 
     Request payloads ({!request}):
 
@@ -24,6 +25,7 @@
     [S:<size_us>:<deadline_us>], or [A]. The optional [@<ms>] token is a
     per-request service deadline: if the server cannot answer within it,
     the request is answered [rejected expired] rather than served late.
+    A deadline too far to represent in Int64 nanoseconds never expires.
 
     Reply payloads ({!reply}): one verdict line per task set —
     [admitted <headroom>] or [rejected <reason>] — where [<reason>] is a
@@ -101,7 +103,8 @@ val max_spec_us : int
     the most that converts to Int64 nanoseconds without wrapping. *)
 
 val parse_spec : string -> (Constraints.t, string) result
-(** One task-spec token ([P:..:..], [S:..:..], [A]); shared with the
+(** One task-spec token ([P:..:..], [S:..:..], [A]), read by the same
+    reader {!parse_request} applies to each spec; shared with the
     [hrt_sim admit] command line. Fields are integers in
     [1, {!max_spec_us}]. *)
 
@@ -110,6 +113,13 @@ val tokens_of : string -> string list
     payloads, and [hrt_sim admit batch] lines, are tokenized. *)
 
 val parse_request : string -> (request, error) result
+(** One pass over the payload, in place. Verbs are case-sensitive, spec
+    letters are not, and a field takes every spelling
+    [int_of_string_opt] accepts. A [query] or [batch] reports, in
+    precedence order: a bad [@<ms>] token right after the verb; no
+    spec after it; any [;] in a [query], or an empty set in a
+    [batch]; then the first bad spec, its index counted from 0 within
+    its set. *)
 
 (* ---- replies ---- *)
 

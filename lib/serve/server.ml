@@ -218,6 +218,14 @@ let note_span t ~verb ~arrival_ns ~sets ~outcome =
 
 (* ---- request handling ---- *)
 
+(* The absolute deadline [ms] after [arrival_ns], saturated at
+   [Int64.max_int]: a deadline past the Int64 range never expires. *)
+let deadline_after arrival_ns ms =
+  let ms = Int64.of_int ms in
+  if ms > Int64.div (Int64.sub Int64.max_int arrival_ns) 1_000_000L then
+    Int64.max_int
+  else Int64.add arrival_ns (Int64.mul ms 1_000_000L)
+
 let verdict_lines vs =
   Protocol.render_reply (Protocol.Verdicts vs)
 
@@ -262,11 +270,7 @@ and enqueue t conn ~verb ~deadline_ms sets =
       | Some _ as d -> d
       | None -> t.cfg.default_deadline_ms
     in
-    let deadline_ns =
-      Option.map
-        (fun ms -> Int64.add arrival_ns (Int64.of_int (ms * 1_000_000)))
-        deadline_ms
-    in
+    let deadline_ns = Option.map (deadline_after arrival_ns) deadline_ms in
     let sets = List.map (taskset_of t) sets in
     Queue.push { slot; sets; arrival_ns; deadline_ns; verb } t.queue
   end

@@ -198,7 +198,17 @@ let test_fingerprint_permutation () =
   let g policy = Taskset.fingerprint (production ~policy [ a; b ]) in
   Alcotest.(check bool) "policy is part of the key" true
     (g Config.Edf <> g Config.Rm);
-  Alcotest.(check int) "raw 16-byte digest" 16 (String.length (f [ a ]));
+  (* The key is the encoding itself: a config prefix (policy name and
+     its length byte, admission tag, three float fields, two flags,
+     min_period, min_slice, overhead), then 17 bytes per task. *)
+  let prefix = 1 + String.length (Config.policy_name Config.Edf) + 51 in
+  List.iter
+    (fun tasks ->
+      Alcotest.(check int)
+        (Printf.sprintf "key layout, %d tasks" (List.length tasks))
+        (prefix + (17 * List.length tasks))
+        (String.length (f tasks)))
+    [ []; [ a ]; [ a; b; c ] ];
   Alcotest.(check string) "periodic phase ignored" (f [ a; b ])
     (f [ Constraints.with_phase a (Time.us 40); b ]);
   (* The one departure from the textual key: float fields compare by

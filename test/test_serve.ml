@@ -74,6 +74,20 @@ let test_decoder_errors () =
   | `Error e -> Alcotest.failf "wrong eof error: %s" (P.describe_error e)
   | `Clean -> Alcotest.fail "eof mid-frame must be an error"
 
+(* Regression: the length field went through [int_of_string_opt], so
+   hex, signed and underscored lengths framed a payload and "-0" an
+   empty one. [<len>] is ASCII decimal: each is now bad-length, while
+   leading zeros stay decimal. *)
+let test_decoder_decimal_length () =
+  List.iter
+    (fun wire -> check_error wire wire "bad-length")
+    [ "hrt1 0x5\nhello"; "hrt1 +5\nhello"; "hrt1 0_5\nhello"; "hrt1 -0\n" ];
+  let dec = P.Decoder.create () in
+  P.Decoder.feed_string dec "hrt1 0005\nhello";
+  match drain_frames dec with
+  | [ "hello" ], `Await -> ()
+  | _ -> Alcotest.fail "a zero-padded decimal length must frame its payload"
+
 (* Any byte stream, fed in any chunking, never raises and never loops:
    the decoder either yields frames, awaits more, or fails sticky. *)
 let prop_decoder_total =
@@ -176,7 +190,22 @@ let test_parse_request () =
       "batch P:1000:300 ;P:500:100 A";
     ];
   Alcotest.(check bool) "stats" true (P.parse_request "stats" = Ok P.Stats);
-  Alcotest.(check bool) "drain" true (P.parse_request "drain" = Ok P.Drain)
+  Alcotest.(check bool) "drain" true (P.parse_request "drain" = Ok P.Drain);
+  (* A field takes any spelling [int_of_string_opt] accepts, and spec
+     letters any case. *)
+  List.iter
+    (fun (tok, period, slice) ->
+      match P.parse_spec tok with
+      | Ok (Constraints.Periodic { period = p; slice = s; _ }) ->
+        Alcotest.(check (pair int64 int64)) tok
+          (Hrt_engine.Time.us period, Hrt_engine.Time.us slice)
+          (p, s)
+      | _ -> Alcotest.failf "%s did not parse" tok)
+    [
+      ("P:0x3E8:0b1010", 1000, 10);
+      ("P:1_000:300", 1000, 300);
+      ("p:+1000:0o454", 1000, 300);
+    ]
 
 let expect_code name payload code =
   match P.parse_request payload with
@@ -191,6 +220,10 @@ let test_parse_request_errors () =
   expect_code "query with sets" "query P:1:2 ; P:3:4" "bad-request";
   expect_code "bad deadline" "query @soon P:1000:300" "bad-deadline";
   expect_code "batch empty set" "batch P:1000:300 ; ; A" "bad-request";
+  (* Shape errors win over an earlier malformed spec. *)
+  expect_code "query ; after bad spec" "query P:bad P:1:2;" "bad-request";
+  expect_code "batch empty set after bad spec" "batch P:bad ; ;" "bad-request";
+  expect_code "@ after a spec" "query P:1000:300 @5" "bad-spec";
   match P.parse_request "query P:1000:300 P:0:5" with
   | Error (P.Bad_spec { index = 1; _ }) -> ()
   | _ -> Alcotest.fail "malformed spec must carry its index"
@@ -289,6 +322,174 @@ let prop_parse_total =
       ignore (P.parse_request payload);
       ignore (P.parse_reply payload);
       true)
+
+(* ---- the one-pass parser against the reference ---- *)
+
+(* Fields in every spelling [int_of_string_opt] takes and some it does
+   not, around zero, [max_spec_us] and [max_int]. *)
+let gen_field =
+  QCheck.Gen.(
+    let num = map string_of_int in
+    let binary n =
+      let bit k = if (n lsr (10 - k)) land 1 = 1 then '1' else '0' in
+      "0b" ^ String.init 11 bit
+    in
+    frequency
+      [
+        (24, num (int_range 1 2000));
+        (1, oneofl [ "0"; "00"; "0005"; "" ]);
+        (1, num (int_range 1 P.max_spec_us));
+        (1, map (( + ) P.max_spec_us) (int_range (-1) 2) |> num);
+        ( 1,
+          oneofl
+            [
+              string_of_int max_int;
+              "4611686018427387904";
+              "99999999999999999999";
+              "0x7FFFFFFFFFFFFFFF";
+              "0x3FFFFFFFFFFFFFFF";
+              "-4611686018427387904";
+            ] );
+        (1, map (Printf.sprintf "0x%X") (int_range 0 5000));
+        (1, map (Printf.sprintf "0X%x") (int_range 0 5000));
+        (1, map (Printf.sprintf "0o%o") (int_range 0 5000));
+        (1, map binary (int_range 0 2047));
+        ( 1,
+          oneofl [ "1_000"; "1__0"; "_1"; "1_"; "0_5"; "0x_5"; "0u5"; "0O7" ] );
+        (1, map2 ( ^ ) (oneofl [ "+"; "-" ]) (num (int_range 0 2000)));
+        (1, oneofl [ "x"; "1x"; "0x"; "0b2"; "1.5"; "1e3"; "@5"; "A" ]);
+      ])
+
+let gen_spec =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map3 (Printf.sprintf "%s:%s:%s")
+            (oneofl [ "P"; "p"; "S"; "s" ])
+            gen_field gen_field );
+        (2, oneofl [ "A"; "a" ]);
+        ( 1,
+          oneofl
+            [ "A:"; "P:1"; "P:1:2:3"; "P::"; ":1:2"; "PP:1:2"; "X:1:2"; "Q" ]
+        );
+      ])
+
+let gen_deadline =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, return "");
+        (6, map (Printf.sprintf "@%d") (int_range 0 1000));
+        ( 1,
+          oneofl
+            [
+              "@"; "@soon"; "@-0"; "@-1"; "@0x10"; "@1_0"; "@4611686018428";
+              "@4611686018427387903"; "@99999999999999999999"; "@5;P:1:2";
+            ] );
+      ])
+
+(* A request from the grammar: a verb (or junk), an optional deadline,
+   then specs and [;] separators glued or spaced, joined by blank runs
+   (sometimes none, which glues two tokens into one). *)
+let gen_payload =
+  QCheck.Gen.(
+    let blank =
+      frequency
+        [ (12, return " "); (4, oneofl [ "  "; "\t"; " \t " ]); (1, return "") ]
+    in
+    (* [;] is rarer in a query, where any one is an error. *)
+    let item semi =
+      frequency
+        [
+          (16, gen_spec);
+          (2 * semi, return ";");
+          (1, oneofl [ ";;"; "; ;" ]);
+          (semi, map (fun s -> s ^ ";") gen_spec);
+          (semi, map (fun s -> ";" ^ s) gen_spec);
+        ]
+    in
+    let* verb =
+      frequency
+        [
+          (8, oneofl [ "query"; "batch" ]);
+          (2, oneofl [ "stats"; "drain" ]);
+          (1, oneofl [ "QUERY"; "frob"; "query;"; "Batch"; "" ]);
+        ]
+    in
+    let* deadline = gen_deadline in
+    let* items =
+      match verb with
+      | "stats" | "drain" -> list_size (oneofl [ 0; 0; 0; 1 ]) (item 1)
+      | _ ->
+        list_size
+          (frequency [ (1, return 0); (8, int_range 1 6) ])
+          (item (if verb = "query" then 0 else 2))
+    in
+    let* blanks = list_repeat (List.length items) blank in
+    let* lead = oneofl [ ""; ""; " "; "\t" ] in
+    let* trail = oneofl [ ""; ""; " "; " \t" ] in
+    let body =
+      List.concat (List.map2 (fun b item -> [ b; item ]) blanks items)
+    in
+    return
+      (String.concat ""
+         ([ lead; verb ]
+         @ (if deadline = "" then [] else [ " "; deadline ])
+         @ body @ [ trail ])))
+
+(* One byte of the payload replaced or deleted, or one inserted. *)
+let mutate payload =
+  QCheck.Gen.(
+    let n = String.length payload in
+    let* c =
+      oneof
+        [
+          oneofl
+            [ ':'; ';'; '@'; ' '; '\t'; '\n'; '_'; '-'; 'x'; 'A'; '0'; '\000' ];
+          char;
+        ]
+    in
+    let* i = int_bound n in
+    let* how = int_bound 2 in
+    let before = String.sub payload 0 i in
+    return
+      (if how < 2 && i < n then
+         before
+         ^ (if how = 0 then String.make 1 c else "")
+         ^ String.sub payload (i + 1) (n - i - 1)
+       else before ^ String.make 1 c ^ String.sub payload i (n - i)))
+
+let same_spec tok =
+  match (P.parse_spec tok, Old_parse.parse_spec tok) with
+  | Ok a, Ok b -> a = b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let same_request payload =
+  match (P.parse_request payload, Old_parse.parse_request payload) with
+  | Ok a, Ok b -> a = b
+  | Error a, Error b ->
+    String.equal (P.error_code a) (P.error_code b)
+    && String.equal (P.describe_error a) (P.describe_error b)
+  | _ -> false
+
+(* Grammar-generated payloads, one-byte mutations of them, and arbitrary
+   strings: the request parser, and the spec parser on the whole payload
+   and on each of its tokens, agree with the parser they replaced. *)
+let prop_parse_matches_reference =
+  QCheck.Test.make ~name:"parser matches the reference parser" ~count:6000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [
+             (3, gen_payload);
+             (2, gen_payload >>= mutate);
+             (1, string_size ~gen:printable (int_bound 60));
+           ]))
+    (fun payload ->
+      same_request payload && same_spec payload
+      && List.for_all same_spec (Old_parse.tokens_of payload))
 
 (* ---- reply round-trips ---- *)
 
@@ -410,6 +611,28 @@ let test_deadline_expired () =
       match must (Client.call addr "query @0 P:1000:300") with
       | P.Verdicts [ P.Rejected "expired" ] -> ()
       | r -> Alcotest.failf "expected expired, got %s" (P.render_reply r))
+
+(* Regression: the absolute deadline was [ms * 1_000_000] in [int],
+   which wraps past 4,611,686,018,427 ms (about 146 years), so a far
+   deadline expired at once. It saturates now: a deadline past the
+   Int64 range never expires, whether the request or the server's
+   default sets it. *)
+let test_far_deadline_serves () =
+  let served cfg payload =
+    with_server ~cfg (fun addr _ ->
+        match must (Client.call addr payload) with
+        | P.Verdicts [ v ] ->
+          Alcotest.(check string) payload
+            (P.render_reply (P.Verdicts [ direct_verdict [ "P:1000:300" ] ]))
+            (P.render_reply (P.Verdicts [ v ]))
+        | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r))
+  in
+  List.iter
+    (fun ms -> served quiet_cfg (Printf.sprintf "query @%d P:1000:300" ms))
+    [ 4_611_686_018_427; 4_611_686_018_428; max_int ];
+  served
+    { quiet_cfg with Server.default_deadline_ms = Some max_int }
+    "query P:1000:300"
 
 let test_protocol_error_over_wire () =
   with_server ~cfg:quiet_cfg (fun addr _ ->
@@ -535,12 +758,15 @@ let suite =
     Alcotest.test_case "decoder typed errors" `Quick test_decoder_errors;
     Alcotest.test_case "decoder linear on one big chunk" `Quick
       test_decoder_one_chunk;
+    Alcotest.test_case "decoder lengths are decimal" `Quick
+      test_decoder_decimal_length;
     to_alcotest prop_decoder_total;
     to_alcotest prop_frame_roundtrip;
     Alcotest.test_case "parse request" `Quick test_parse_request;
     Alcotest.test_case "parse request errors" `Quick test_parse_request_errors;
     Alcotest.test_case "spec range check" `Quick test_parse_spec_range;
     to_alcotest prop_parse_total;
+    to_alcotest prop_parse_matches_reference;
     to_alcotest prop_grammar_extremes_analyze;
     Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
     Alcotest.test_case "query matches oracle" `Quick test_query_matches_oracle;
@@ -551,6 +777,8 @@ let suite =
     Alcotest.test_case "forced shed answers overloaded" `Quick test_forced_shed;
     Alcotest.test_case "deadline expiry answers expired" `Quick
       test_deadline_expired;
+    Alcotest.test_case "far deadline is served" `Quick
+      test_far_deadline_serves;
     Alcotest.test_case "protocol errors over the wire" `Quick
       test_protocol_error_over_wire;
     Alcotest.test_case "overflowing query keeps the daemon up" `Quick
