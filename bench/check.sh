@@ -2,8 +2,9 @@
 # CI gate: type-check, run the full test suite and the lint, verify that
 # the observability layer costs nothing when disabled
 # (bench/overhead_check.ml), then smoke the admission CLI, run --csv and
-# the serving daemon. The performance gate is bench/gate.py over hrtbench
-# runs (CI's hrtbench job).
+# the serving daemon, and flood the daemon with idle connections. The
+# performance gate is bench/gate.py over hrtbench runs (CI's hrtbench
+# job).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -74,23 +75,73 @@ if ! cmp /tmp/hrt_metrics_plain.csv /tmp/hrt_metrics_csv.csv; then
 fi
 
 echo "== admission serving smoke =="
-# An explicit --jobs 1 must boot a sequential daemon, not the default 4;
-# the boot line names the job count. The client retries with backoff
-# until the daemon has bound its socket, then drains it.
+# The daemon boots, names its socket, answers a query and drains. The
+# client retries with backoff until the daemon has bound its socket.
 dune build bin/hrt_sim.exe
 hrt_sim=_build/default/bin/hrt_sim.exe
 sock=/tmp/hrt-check-$$.sock
-"$hrt_sim" serve --jobs 1 --socket "$sock" >/tmp/hrt_serve_jobs1.txt 2>&1 &
+"$hrt_sim" serve --socket "$sock" >/tmp/hrt_serve_boot.txt 2>&1 &
 daemon=$!
 status=0
 "$hrt_sim" serve --client --socket "$sock" 'query P:1000:300' drain || status=$?
 [ "$status" -eq 0 ] || kill "$daemon"
 wait "$daemon" || status=$?
-cat /tmp/hrt_serve_jobs1.txt
+cat /tmp/hrt_serve_boot.txt
 if [ "$status" -ne 0 ] ||
-  ! grep -q "^listening on $sock (jobs=1)\$" /tmp/hrt_serve_jobs1.txt; then
-  echo "check.sh: serve --jobs 1 did not boot one job and drain" >&2
+  ! grep -q "^listening on $sock\$" /tmp/hrt_serve_boot.txt; then
+  echo "check.sh: serve did not boot, answer a query and drain" >&2
   exit 1
 fi
+
+echo "== connection floods =="
+# flood LIMIT CONNS: boot the daemon alone under an fd limit of LIMIT,
+# hold CONNS idle connections from a client that has fds to spare, close
+# them; the daemon must then still admit a query and drain with exit 0.
+flood() {
+  sock=/tmp/hrt-flood-$$.sock
+  (ulimit -n "$1" && exec "$hrt_sim" serve --socket "$sock") \
+    >/tmp/hrt_flood_daemon.txt 2>&1 &
+  daemon=$!
+  (ulimit -n 4096 && python3 - "$sock" "$2" <<'PY'
+import socket, sys, time
+path, n = sys.argv[1], int(sys.argv[2])
+held = []
+give_up = time.time() + 10
+while len(held) < n and time.time() < give_up:
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.setblocking(False)
+    try:
+        s.connect(path)
+        held.append(s)
+    except BlockingIOError:
+        s.close()
+        time.sleep(0.001)  # the listen backlog is full
+    except OSError:
+        s.close()
+        if held:
+            break  # the daemon is gone
+        time.sleep(0.01)  # the daemon has not bound yet
+time.sleep(0.5)  # let the daemon accept what it will
+for s in held:
+    s.close()
+PY
+  )
+  status=0
+  "$hrt_sim" serve --client --socket "$sock" 'query P:1000:300' drain \
+    >/tmp/hrt_flood_reply.txt || status=$?
+  [ "$status" -eq 0 ] || kill "$daemon" 2>/dev/null || true
+  wait "$daemon" || status=$?
+  cat /tmp/hrt_flood_reply.txt /tmp/hrt_flood_daemon.txt
+  if [ "$status" -ne 0 ] || ! grep -q '^admitted ' /tmp/hrt_flood_reply.txt
+  then
+    echo "check.sh: daemon did not survive $2 connections at ulimit -n $1" >&2
+    exit 1
+  fi
+}
+# Out of fds, accept fails with EMFILE: the daemon used to exit on it.
+flood 64 80
+# select cannot watch an fd >= 1024 (EINVAL), which also ended the
+# daemon; connections past the 1,000 cap are now refused instead.
+flood 4096 1100
 
 echo "check.sh: all gates passed"

@@ -651,10 +651,10 @@ let admit_batch_cmd =
         "Reads one task set per line (whitespace-separated SPECs, \
          $(b,#) comments and blank lines skipped) and answers each line \
          with its verdict. Queries go through the sharded memo cache — \
-         permutations of an already-analyzed set are hits — and fan \
-         across $(b,--jobs) domains; the answers are byte-identical for \
-         any job count. Cache hit/miss/eviction counters are printed at \
-         the end (and exported as $(b,admit.cache.*) metrics with \
+         permutations of an already-analyzed set are hits — on one \
+         domain: fanning the misses across domains costs more than it \
+         saves. Cache hit/miss/eviction counters are printed at the end \
+         (and exported as $(b,admit.cache.*) metrics with \
          $(b,--metrics-out)).";
     ]
   in
@@ -664,7 +664,7 @@ let admit_batch_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Task-set file ($(b,-) for stdin).")
   in
-  let run policy platform raw jobs metrics_out file =
+  let run policy platform raw metrics_out file =
     let ic = if file = "-" then stdin else open_in file in
     let lines = ref [] in
     (try
@@ -691,13 +691,7 @@ let admit_batch_cmd =
     with_obs ~trace_out:None ~metrics_out (fun sink ->
         if Hrt_obs.Sink.enabled sink then
           Hrt_analysis.Service.register_probes svc sink;
-        let results =
-          if jobs > 1 then
-            Hrt_analysis.Service.batch
-              ~pool:(Hrt_par.Par.Pool.create ~jobs)
-              svc sets
-          else Hrt_analysis.Service.batch svc sets
-        in
+        let results = Hrt_analysis.Service.batch svc sets in
         List.iteri
           (fun i r ->
             Format.printf "set %d: %a@." (i + 1) Admission.pp_verdict
@@ -711,8 +705,8 @@ let admit_batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc ~man)
     Term.(
-      const run $ policy_term $ platform_term $ raw_term $ jobs_term
-      $ metrics_out_term $ file)
+      const run $ policy_term $ platform_term $ raw_term $ metrics_out_term
+      $ file)
 
 let admit_xval_cmd =
   let doc = "Cross-validate the oracle against the simulator." in
@@ -786,18 +780,23 @@ let serve_cmd =
          length-prefixed $(b,hrt1) protocol frames: $(b,query) and \
          $(b,batch) requests carry the same task specs as $(b,hrt_sim \
          admit) and are answered with one $(b,admitted)/$(b,rejected) \
-         verdict per set; $(b,stats) reports serving and cache counters; \
+         verdict per set; $(b,stats) reports serving and cache counters \
+         and latency percentiles over the latest 65,536 requests; \
          $(b,drain) asks the server to finish and exit. Requests queue in \
          a bounded FIFO drained in batches through the memoized admission \
-         service: cache hits are answered on the serving domain, and a \
-         batch's misses fan across $(b,--jobs) worker domains.";
+         service, on the serving loop's own domain: hits and misses \
+         alike, since fanning misses across domains costs more than it \
+         saves.";
       `P
         "Backpressure is admission-themed: when the queue is full new \
          queries are answered $(b,rejected overloaded) immediately (never \
          stalled, never dropped), and a request whose $(b,@ms) deadline \
          passes while queued is answered $(b,rejected expired). SIGTERM \
          drains gracefully: stop accepting, answer everything in flight, \
-         flush, emit final stats.";
+         flush, emit final stats. At most 1,000 connections are open at \
+         once; one more is closed on accept and counted as $(b,refused) \
+         in $(b,stats), and while the process is out of file descriptors \
+         the daemon stops accepting until a connection closes.";
       `P
         "With $(b,--client), the positional $(i,REQUEST) payloads are \
          sent one RPC each (fresh connection, bounded timeout, jittered \
@@ -871,17 +870,7 @@ let serve_cmd =
       value & opt int 5
       & info [ "attempts" ] ~docv:"N" ~doc:"Client retry budget per request.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains a dispatch batch's cache misses fan across \
-             (hits are always answered on the loop's own domain). \
-             Defaults to 4; $(b,1) serves sequentially.")
-  in
-  let run policy platform raw jobs socket tcp client requests max_queue
+  let run policy platform raw socket tcp client requests max_queue
       max_batch deadline_ms timeout_ms attempts trace_out metrics_out =
     if client then begin
       let addr =
@@ -909,19 +898,14 @@ let serve_cmd =
       if !failed then exit 1
     end
     else begin
-      let jobs =
-        Option.value jobs
-          ~default:Hrt_serve.Server.default_config.Hrt_serve.Server.jobs
-      in
       let cfg =
         {
-          Hrt_serve.Server.policy;
+          Hrt_serve.Server.default_config with
+          policy;
           platform;
           raw;
-          jobs;
           max_queue;
           max_batch;
-          max_frame = Hrt_serve.Protocol.default_max_frame;
           default_deadline_ms = deadline_ms;
         }
       in
@@ -933,12 +917,10 @@ let serve_cmd =
       let server =
         Hrt_serve.Server.create ?tcp_port:tcp ?sink ?trace_out ~socket cfg
       in
-      let jobs = Hrt_serve.Server.jobs server in
       (match Hrt_serve.Server.tcp_port server with
       | Some port ->
-        Printf.printf "listening on %s and 127.0.0.1:%d (jobs=%d)\n%!" socket
-          port jobs
-      | None -> Printf.printf "listening on %s (jobs=%d)\n%!" socket jobs);
+        Printf.printf "listening on %s and 127.0.0.1:%d\n%!" socket port
+      | None -> Printf.printf "listening on %s\n%!" socket);
       Hrt_serve.Server.run ~install_sigterm:true server;
       match (metrics_out, sink) with
       | Some path, Some sink ->
@@ -949,7 +931,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ policy_term $ platform_term $ raw_term $ jobs $ socket
+      const run $ policy_term $ platform_term $ raw_term $ socket
       $ tcp $ client $ requests $ max_queue $ max_batch $ deadline_ms
       $ timeout_ms $ attempts $ trace_out_term $ metrics_out_term)
 

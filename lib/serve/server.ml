@@ -1,6 +1,5 @@
 open Hrt_core
 open Hrt_analysis
-open Hrt_par
 module Clock = Hrt_harness.Clock
 
 type config = {
@@ -19,7 +18,7 @@ let default_config =
     policy = Config.Edf;
     platform = Hrt_hw.Platform.phi;
     raw = false;
-    jobs = 4;
+    jobs = 1;
     max_queue = 256;
     max_batch = 64;
     max_frame = Protocol.default_max_frame;
@@ -50,40 +49,42 @@ type work = {
   verb : string;
 }
 
-type span = {
-  sp_verb : string;
-  sp_ts_us : float;  (* arrival, relative to server start *)
-  sp_dur_us : float;
-  sp_sets : int;
-  sp_outcome : string;
-}
-
 type t = {
   cfg : config;
   unix_path : string;
   listeners : Unix.file_descr list;
   bound_tcp : int option;
   svc : Service.t;
-  pool : Par.Pool.t;
   sink : Hrt_obs.Sink.t;
-  trace_out : string option;
+  trace : out_channel option;  (* the open [--trace-out] array *)
   started_ns : int64;
   queue : work Queue.t;
   mutable conns : conn list;
   drain : bool Atomic.t;
   mutable accepting : bool;
-  latency : Hrt_stats.Percentile.t;
-  mutable spans : span list;  (* newest first *)
+  mutable fd_starved : bool;  (* accept hit EMFILE/ENFILE; no close since *)
+  latency : Hrt_stats.Window.t;
+  mutable spans : int;  (* spans written to [trace] *)
   (* counters (single-threaded loop; probes sampled on the same domain) *)
   mutable served : int;  (* task sets answered through the service *)
   mutable shed : int;  (* task sets answered "overloaded" *)
   mutable expired : int;  (* task sets answered "expired" *)
   mutable proto_errors : int;
   mutable accepted_conns : int;
+  mutable refused : int;  (* connections closed on accept, over the cap *)
   mutable requests : int;  (* frames parsed into a request *)
   mutable replies : int;  (* reply frames queued for flush *)
   mutable inflight : int;  (* slots not yet filled *)
 }
+
+(* [select] cannot watch an fd >= FD_SETSIZE (1024). Capping open
+   connections below it leaves room for stdio, the listeners and the
+   trace file. *)
+let max_conns = 1000
+
+(* Latencies behind [p50/p95/p99_us]: the latest requests only, so a
+   long-lived daemon neither grows nor re-sorts its whole history. *)
+let latency_window = 65_536
 
 let taskset_of t specs =
   if t.cfg.raw then Taskset.raw_view ~policy:t.cfg.policy specs
@@ -121,21 +122,28 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
       listeners = ufd :: (match tcp with Some (fd, _) -> [ fd ] | None -> []);
       bound_tcp = Option.map snd tcp;
       svc = Service.create ();
-      pool = Par.Pool.create ~jobs:cfg.jobs;
       sink;
-      trace_out;
+      trace =
+        Option.map
+          (fun path ->
+            let oc = open_out path in
+            output_string oc "[";
+            oc)
+          trace_out;
       started_ns = Clock.now_ns ();
       queue = Queue.create ();
       conns = [];
       drain = Atomic.make false;
       accepting = true;
-      latency = Hrt_stats.Percentile.create ();
-      spans = [];
+      fd_starved = false;
+      latency = Hrt_stats.Window.create ~capacity:latency_window;
+      spans = 0;
       served = 0;
       shed = 0;
       expired = 0;
       proto_errors = 0;
       accepted_conns = 0;
+      refused = 0;
       requests = 0;
       replies = 0;
       inflight = 0;
@@ -154,14 +162,12 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
   t
 
 let tcp_port t = t.bound_tcp
-let jobs t = Par.Pool.jobs t.pool
 let request_drain t = Atomic.set t.drain true
 
 (* ---- stats ---- *)
 
-let percentile_or_zero p q =
-  if Hrt_stats.Percentile.count p = 0 then 0.
-  else Hrt_stats.Percentile.value p q
+let percentile_or_zero w q =
+  if Hrt_stats.Window.count w = 0 then 0. else Hrt_stats.Window.value w q
 
 let stats_fields t =
   [
@@ -174,6 +180,7 @@ let stats_fields t =
     ("queue", float_of_int (Queue.length t.queue));
     ("inflight", float_of_int t.inflight);
     ("conns", float_of_int (List.length t.conns));
+    ("refused", float_of_int t.refused);
     ("hits", float_of_int (Service.stats t.svc).Service.hits);
     ("misses", float_of_int (Service.stats t.svc).Service.misses);
     ("evictions", float_of_int (Service.stats t.svc).Service.evictions);
@@ -199,22 +206,24 @@ let fill t slot payload =
   | Some _ -> ());
   slot.reply <- Some payload
 
+(* A request's span goes to the trace file as it completes, so memory
+   stays flat however long the daemon runs. *)
 let note_span t ~verb ~arrival_ns ~sets ~outcome =
   let now = Clock.now_ns () in
   let us_of ns = Int64.to_float ns /. 1e3 in
-  (match t.trace_out with
-  | Some _ ->
-    t.spans <-
-      {
-        sp_verb = verb;
-        sp_ts_us = us_of (Int64.sub arrival_ns t.started_ns);
-        sp_dur_us = us_of (Int64.sub now arrival_ns);
-        sp_sets = sets;
-        sp_outcome = outcome;
-      }
-      :: t.spans
+  let dur_us = us_of (Int64.sub now arrival_ns) in
+  (match t.trace with
+  | Some oc ->
+    Printf.fprintf oc
+      "%s\n\
+       {\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"sets\":%d,\"outcome\":\"%s\"}}"
+      (if t.spans = 0 then "" else ",")
+      verb
+      (us_of (Int64.sub arrival_ns t.started_ns))
+      dur_us sets outcome;
+    t.spans <- t.spans + 1
   | None -> ());
-  Hrt_stats.Percentile.add t.latency (us_of (Int64.sub now arrival_ns))
+  Hrt_stats.Window.add t.latency dur_us
 
 (* ---- request handling ---- *)
 
@@ -277,14 +286,15 @@ and enqueue t conn ~verb ~deadline_ms sets =
 
 (* One dispatch batch: pop up to [max_batch] requests, answer the ones
    whose deadline already passed, send the rest through the memoized
-   service (hits answered here, misses fanned over the worker pool), and
-   fill the reply slots. *)
+   service on this domain (hits and misses alike: a fan-out across
+   domains costs more than it saves at any batch size), and fill the
+   reply slots. *)
 let dispatch t =
   if not (Queue.is_empty t.queue) then begin
-    let batch = ref [] in
-    while (not (Queue.is_empty t.queue)) && List.length !batch < t.cfg.max_batch
-    do
-      batch := Queue.pop t.queue :: !batch
+    let batch = ref [] and n = ref 0 in
+    while (not (Queue.is_empty t.queue)) && !n < t.cfg.max_batch do
+      batch := Queue.pop t.queue :: !batch;
+      incr n
     done;
     let batch = List.rev !batch in
     let now = Clock.now_ns () in
@@ -307,7 +317,7 @@ let dispatch t =
       dead;
     if live <> [] then begin
       let all_sets = List.concat_map (fun w -> w.sets) live in
-      let results = Service.batch ~pool:t.pool t.svc all_sets in
+      let results = Service.batch t.svc all_sets in
       let rec split results = function
         | [] -> ()
         | w :: rest ->
@@ -340,9 +350,9 @@ let dispatch t =
 let close_conn t conn =
   if conn.open_ then begin
     conn.open_ <- false;
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-  end;
-  ignore t
+    t.fd_starved <- false;
+    try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  end
 
 (* Move answered slots (in request order) into the outgoing buffer, then
    push as much of it as the socket accepts. *)
@@ -426,9 +436,17 @@ let read_sweep t conn buf =
   go ();
   conn.reading <- false
 
+(* Accept every connection the kernel completed. One past [max_conns] is
+   closed at once. Out of fds, the loop stops watching the listeners
+   until a connection closes; the listen backlog holds the waiting
+   clients meanwhile. *)
 let accept_ready t fd =
   let rec go () =
     match Unix.accept ~cloexec:true fd with
+    | cfd, _ when List.length t.conns >= max_conns ->
+      (try Unix.close cfd with Unix.Unix_error _ -> ());
+      t.refused <- t.refused + 1;
+      go ()
     | cfd, _ ->
       Unix.set_nonblock cfd;
       t.accepted_conns <- t.accepted_conns + 1;
@@ -447,30 +465,10 @@ let accept_ready t fd =
       go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      t.fd_starved <- true
   in
   go ()
-
-(* ---- trace export ---- *)
-
-let write_trace t =
-  match t.trace_out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc "[";
-        List.iteri
-          (fun i sp ->
-            if i > 0 then output_string oc ",";
-            output_string oc
-              (Printf.sprintf
-                 "\n\
-                  {\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.1f,\"dur\":%.1f,\"args\":{\"sets\":%d,\"outcome\":\"%s\"}}"
-                 sp.sp_verb sp.sp_ts_us sp.sp_dur_us sp.sp_sets sp.sp_outcome))
-          (List.rev t.spans);
-        output_string oc "\n]\n")
 
 (* ---- main loop ---- *)
 
@@ -502,7 +500,7 @@ let run ?(install_sigterm = false) t =
       close_listeners t
     end;
     let rfds =
-      (if t.accepting then t.listeners else [])
+      (if t.accepting && not t.fd_starved then t.listeners else [])
       @ List.filter_map
           (fun c -> if c.open_ && c.reading then Some c.fd else None)
           t.conns
@@ -544,10 +542,13 @@ let run ?(install_sigterm = false) t =
       (fun conn ->
         if conn.open_ then begin
           flush_conn t conn;
-          (* ignore [writable]: flush is cheap and write handles EAGAIN *)
+          (* ignore [writable]: flush is cheap and write handles EAGAIN.
+             A drain closes a connection only once the read sweep above
+             has cleared [reading]: a drain that lands after the sweep
+             would otherwise close on unread requests and reset them. *)
           if
             conn.open_ && conn_flushed conn
-            && ((not conn.reading) || conn.fatal || Atomic.get t.drain)
+            && ((not conn.reading) || conn.fatal)
           then close_conn t conn
         end)
       t.conns;
@@ -558,7 +559,11 @@ let run ?(install_sigterm = false) t =
   done;
   close_listeners t;
   if Hrt_obs.Sink.enabled t.sink then Hrt_obs.Sink.sample_probes t.sink;
-  write_trace t;
+  Option.iter
+    (fun oc ->
+      output_string oc "\n]\n";
+      close_out oc)
+    t.trace;
   Printf.eprintf "%s\n%!" (stats_line t);
   match prev_sigterm with
   | Some prev -> Sys.set_signal Sys.sigterm prev

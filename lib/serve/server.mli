@@ -4,10 +4,9 @@
     {!Hrt_analysis.Service}: clients connect over a Unix-domain socket
     (and optionally TCP on localhost), speak {!Protocol} frames, and get
     one reply per request. Requests land in a bounded FIFO queue drained
-    in batches through [Service.batch]: cache hits are answered on the
-    serving domain, and only a batch's misses fan across a
-    {!Hrt_par.Par.Pool} — so a burst of distinct task sets uses every
-    worker domain while a warm batch never leaves the loop's domain.
+    in batches through [Service.batch], on the serving loop's own domain:
+    hits and misses alike. No dispatch spawns a domain; fanning a batch's
+    misses across domains lost at every batch size it was measured at.
 
     The server applies admission-themed backpressure to {e itself}
     rather than stalling or dropping connections:
@@ -27,7 +26,14 @@
     pipelined clients can match replies positionally. Every accepted
     request gets exactly one reply; protocol errors are answered with a
     typed [error] frame (framing errors close the connection after the
-    reply, since the stream cannot be resynchronized). *)
+    reply, since the stream cannot be resynchronized).
+
+    A connection flood cannot end the daemon. At most 1,000 connections
+    are open at once, below [select]'s [FD_SETSIZE]; one more is closed
+    on accept and counted as [refused] in [stats]. When [accept] runs
+    out of fds ([EMFILE]/[ENFILE]), the loop stops watching the
+    listeners until a connection closes, and the kernel's listen backlog
+    holds the waiting clients. *)
 
 open Hrt_core
 
@@ -35,7 +41,10 @@ type config = {
   policy : Config.policy;
   platform : Hrt_hw.Platform.t;
   raw : bool;  (** analyze the raw-feasibility view instead of production *)
-  jobs : int;  (** worker-domain fan-out for each dispatch batch's misses *)
+  jobs : int;
+      (** Ignored: every dispatch is answered on the serving loop's
+          domain. The field remains only because hrtbench still sets it;
+          ROADMAP item 6 deletes it together with that use. *)
   max_queue : int;  (** queued requests beyond which queries are shed *)
   max_batch : int;  (** requests served per dispatch batch *)
   max_frame : int;  (** per-frame payload cap handed to the {!Protocol.Decoder} *)
@@ -44,7 +53,7 @@ type config = {
 }
 
 val default_config : config
-(** EDF, phi, production view, jobs 4, max_queue 256, max_batch 64,
+(** EDF, phi, production view, jobs 1, max_queue 256, max_batch 64,
     {!Protocol.default_max_frame}, no default deadline. *)
 
 type t
@@ -62,16 +71,14 @@ val create :
     With an enabled [sink], serving gauges ([serve.queue.depth],
     [serve.inflight], [serve.shed], [serve.served], [serve.expired],
     [serve.conns]) are registered next to the service's [admit.cache.*]
-    probes and sampled at drain. [trace_out] records one Chrome-trace
-    span per request (verb, queue+service time, outcome) written at
-    drain. Raises [Unix.Unix_error] if binding fails. *)
+    probes and sampled at drain. [trace_out] is a Chrome-trace JSON
+    array with one span per request (verb, queue+service time, outcome),
+    each written as the request completes; the array is closed at drain.
+    Raises [Unix.Unix_error] if binding fails, [Sys_error] if
+    [trace_out] cannot be opened. *)
 
 val tcp_port : t -> int option
 (** The bound TCP port, once created (resolves an ephemeral request). *)
-
-val jobs : t -> int
-(** Worker domains the dispatch batches fan misses across: [config.jobs]
-    clamped to the {!Hrt_par.Par.Pool} range. *)
 
 val request_drain : t -> unit
 (** Ask the running server to drain; safe from any domain or from a
@@ -85,4 +92,6 @@ val run : ?install_sigterm:bool -> t -> unit
 
 val stats_line : t -> string
 (** The machine-readable stats payload (same fields as the [stats]
-    verb). *)
+    verb). [p50_us], [p95_us] and [p99_us] are queue+service latency
+    percentiles over the latest 65,536 requests, not the daemon's whole
+    life; [refused] counts connections closed over the cap. *)

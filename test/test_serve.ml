@@ -514,9 +514,9 @@ let test_reply_roundtrip () =
 
 (* ---- live server ---- *)
 
-let with_server ?(cfg = Server.default_config) ?tcp_port f =
+let with_server ?(cfg = Server.default_config) ?tcp_port ?trace_out f =
   let path = sock_path () in
-  let server = Server.create ?tcp_port ~socket:path cfg in
+  let server = Server.create ?tcp_port ?trace_out ~socket:path cfg in
   let d = Domain.spawn (fun () -> Server.run server) in
   Fun.protect
     ~finally:(fun () ->
@@ -529,8 +529,6 @@ let must = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "client: %s" msg
 
-let quiet_cfg = { Server.default_config with Server.jobs = 2 }
-
 let direct_verdict specs =
   let tasks =
     List.map (fun s -> Result.get_ok (P.parse_spec s)) specs
@@ -542,7 +540,7 @@ let direct_verdict specs =
   P.verdict_of_oracle (Hrt_analysis.Oracle.analyze ts).Hrt_analysis.Oracle.verdict
 
 let test_query_matches_oracle () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       let specs = [ "P:1000:300"; "P:500:100" ] in
       match must (Client.call addr ("query " ^ String.concat " " specs)) with
       | P.Verdicts [ v ] ->
@@ -551,7 +549,7 @@ let test_query_matches_oracle () =
       | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r))
 
 let test_batch_verdicts_in_order () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       let sets = [ [ "P:1000:900"; "A" ]; [ "P:1000:300" ]; [ "S:50:400" ] ] in
       let payload =
         "batch " ^ String.concat " ; " (List.map (String.concat " ") sets)
@@ -568,7 +566,7 @@ let test_batch_verdicts_in_order () =
       | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r))
 
 let test_pipelined_replies_in_order () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       let conn = must (Client.connect addr) in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
@@ -592,7 +590,7 @@ let test_pipelined_replies_in_order () =
 
 let test_forced_shed () =
   with_server
-    ~cfg:{ quiet_cfg with Server.max_queue = 0 }
+    ~cfg:{ Server.default_config with Server.max_queue = 0 }
     (fun addr _ ->
       (match must (Client.call addr "query P:1000:300") with
       | P.Verdicts [ P.Rejected "overloaded" ] -> ()
@@ -607,7 +605,7 @@ let test_forced_shed () =
       | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r))
 
 let test_deadline_expired () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       match must (Client.call addr "query @0 P:1000:300") with
       | P.Verdicts [ P.Rejected "expired" ] -> ()
       | r -> Alcotest.failf "expected expired, got %s" (P.render_reply r))
@@ -628,14 +626,15 @@ let test_far_deadline_serves () =
         | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r))
   in
   List.iter
-    (fun ms -> served quiet_cfg (Printf.sprintf "query @%d P:1000:300" ms))
+    (fun ms ->
+      served Server.default_config (Printf.sprintf "query @%d P:1000:300" ms))
     [ 4_611_686_018_427; 4_611_686_018_428; max_int ];
   served
-    { quiet_cfg with Server.default_deadline_ms = Some max_int }
+    { Server.default_config with Server.default_deadline_ms = Some max_int }
     "query P:1000:300"
 
 let test_protocol_error_over_wire () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       (* A junk verb is a typed error reply; the connection survives. *)
       let conn = must (Client.connect addr) in
       Fun.protect
@@ -680,11 +679,89 @@ let test_protocol_error_over_wire () =
             Alcotest.(check int) "closed after error" 0
               (Unix.read fd buf 0 1024)))
 
+(* Every dispatch is answered on the serving loop's domain, misses
+   included: with the configuration hrtbench runs ([jobs = 2]), a batch
+   of five distinct cold sets spawns no domain. Domain ids rise by one
+   per spawn, so probe domains spawned just before and just after the
+   batch are one apart only if nothing spawned in between. *)
+let test_dispatch_spawns_no_domain () =
+  with_server
+    ~cfg:{ Server.default_config with Server.jobs = 2 }
+    (fun addr _ ->
+      let probe () =
+        Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+      in
+      let sets =
+        List.init 5 (fun i -> [ Printf.sprintf "P:%d:300" (1000 + i) ])
+      in
+      let payload =
+        "batch " ^ String.concat " ; " (List.map (String.concat " ") sets)
+      in
+      let before = probe () in
+      let reply = must (Client.call addr payload) in
+      let after = probe () in
+      Alcotest.(check string) "verdicts = direct oracle"
+        (P.render_reply (P.Verdicts (List.map direct_verdict sets)))
+        (P.render_reply reply);
+      Alcotest.(check int) "domains spawned across the batch" 1
+        (after - before))
+
+(* [trace_out] writes each request's span as it completes and closes
+   the array at drain: the file is a JSON array with one span per
+   request, in completion order. [ts] and [dur] vary run to run, so
+   they are cut before comparing. *)
+let test_trace_streams_spans () =
+  let untimed line =
+    let find sub =
+      let n = String.length sub in
+      let rec go i =
+        if i + n > String.length line then None
+        else if String.sub line i n = sub then Some i
+        else go (i + 1)
+      in
+      go 0
+    in
+    match (find "\"ts\":", find "\"args\":") with
+    | Some i, Some j ->
+      String.sub line 0 i ^ String.sub line j (String.length line - j)
+    | _ -> line
+  in
+  let span verb sets outcome =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"args\":{\"sets\":%d,\"outcome\":\"%s\"}}"
+      verb sets outcome
+  in
+  let trace = Filename.temp_file "hrt-serve-trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      with_server ~trace_out:trace (fun addr _ ->
+          List.iter
+            (fun payload -> ignore (must (Client.call addr payload)))
+            [
+              "query P:1000:300";
+              "batch P:1000:300 ; P:500:100";
+              "query @0 P:1000:300";
+            ]);
+      Alcotest.(check (list string))
+        "one span per request"
+        [
+          "[";
+          span "query" 1 "served" ^ ",";
+          span "batch" 2 "served" ^ ",";
+          span "query" 1 "expired";
+          "]";
+          "";
+        ]
+        (In_channel.with_open_text trace In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.map untimed))
+
 (* A set whose lcm product wraps Int64 used to raise inside the
    analysis and take the daemon down; it now gets a verdict, and the
    daemon keeps answering. *)
 let test_overflow_query_survives () =
-  with_server ~cfg:quiet_cfg (fun addr _ ->
+  with_server (fun addr _ ->
       let specs = [ "P:1000000:1000"; "P:9300001:1000" ] in
       (match must (Client.call addr ("query " ^ String.concat " " specs)) with
       | P.Verdicts [ _ ] as r ->
@@ -701,7 +778,7 @@ let test_overflow_query_survives () =
    the stable overloaded verdict) before the server closes. *)
 let test_drain_under_load () =
   let n = 40 in
-  with_server ~cfg:quiet_cfg (fun addr server ->
+  with_server (fun addr server ->
       let conn = must (Client.connect addr) in
       Fun.protect
         ~finally:(fun () -> Client.close conn)
@@ -725,7 +802,7 @@ let test_drain_under_load () =
 
 let test_drain_verb_stops_server () =
   let path = sock_path () in
-  let server = Server.create ~socket:path quiet_cfg in
+  let server = Server.create ~socket:path Server.default_config in
   let d = Domain.spawn (fun () -> Server.run server) in
   let addr = Client.Unix_path path in
   (match must (Client.call addr "drain") with
@@ -740,7 +817,7 @@ let test_drain_verb_stops_server () =
   | Ok _ -> Alcotest.fail "drained server must not answer"
 
 let test_tcp_listener () =
-  with_server ~cfg:quiet_cfg ~tcp_port:0 (fun _ server ->
+  with_server ~tcp_port:0 (fun _ server ->
       match Server.tcp_port server with
       | None -> Alcotest.fail "tcp port not bound"
       | Some port -> (
@@ -787,4 +864,8 @@ let suite =
     Alcotest.test_case "drain verb stops server" `Quick
       test_drain_verb_stops_server;
     Alcotest.test_case "tcp listener" `Quick test_tcp_listener;
+    Alcotest.test_case "dispatch spawns no domain" `Quick
+      test_dispatch_spawns_no_domain;
+    Alcotest.test_case "trace-out streams one span per request" `Quick
+      test_trace_streams_spans;
   ]

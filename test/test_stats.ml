@@ -138,6 +138,35 @@ let test_percentile_unsorted_input () =
   let p = Percentile.of_array [| 5.; 1.; 3.; 2.; 4. |] in
   Alcotest.(check (float 1e-9)) "median of unsorted" 3. (Percentile.median p)
 
+(* The serving daemon's latency window: below capacity it holds every
+   sample and agrees with [Percentile] on them; past it, it holds the
+   latest [capacity] samples and agrees with [Percentile] on those. *)
+let test_window_matches_percentile () =
+  let capacity = 65_536 and below = 1_000 in
+  let rng = Random.State.make [| 19 |] in
+  let samples =
+    Array.init (capacity + 40_000) (fun _ -> Random.State.float rng 1e3)
+  in
+  let n = Array.length samples in
+  let w = Window.create ~capacity in
+  let agree name held =
+    Alcotest.(check int) (name ^ ": samples held") (Array.length held)
+      (Window.count w);
+    let p = Percentile.of_array held in
+    List.iter
+      (fun q ->
+        Alcotest.(check (float 0.)) (Printf.sprintf "%s: p%g" name q)
+          (Percentile.value p q) (Window.value w q))
+      [ 0.; 50.; 95.; 99.; 100. ]
+  in
+  Array.iter (Window.add w) (Array.sub samples 0 below);
+  agree "below the window" (Array.sub samples 0 below);
+  Array.iter (Window.add w) (Array.sub samples below (n - below));
+  agree "past the window" (Array.sub samples (n - capacity) capacity);
+  Alcotest.check_raises "nan rejected"
+    (Invalid_argument "Window.add: NaN sample") (fun () ->
+      Window.add w Float.nan)
+
 (* NaN regressions: on the seed code these silently poisoned sorts (via
    polymorphic compare), bin indices, and running means. *)
 let test_percentile_rejects_nan () =
@@ -249,6 +278,8 @@ let suite =
     Alcotest.test_case "percentile unsorted input" `Quick test_percentile_unsorted_input;
     Alcotest.test_case "percentile errors" `Quick test_percentile_errors;
     Alcotest.test_case "percentile rejects NaN" `Quick test_percentile_rejects_nan;
+    Alcotest.test_case "window keeps the latest samples" `Quick
+      test_window_matches_percentile;
     Alcotest.test_case "histogram rejects NaN" `Quick test_histogram_rejects_nan;
     Alcotest.test_case "summary rejects NaN" `Quick test_summary_rejects_nan;
     Alcotest.test_case "table render" `Quick test_table_render;
