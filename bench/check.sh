@@ -2,7 +2,8 @@
 # CI gate: type-check, run the full test suite and the lint, verify that
 # the observability layer costs nothing when disabled
 # (bench/overhead_check.ml), then smoke the admission CLI, run --csv and
-# the serving daemon, and flood the daemon with idle connections. The
+# the serving daemon, flood the daemon with idle connections and with
+# clients that close before their reply. The
 # performance gate is bench/gate.py over hrtbench runs (CI's hrtbench
 # job).
 set -eu
@@ -57,6 +58,17 @@ printf 'P:1000:300\tP:500:100\n' |
 cat /tmp/hrt_batch_tab.txt
 if [ "$status" -ne 0 ] || ! grep -q '^set 1: admitted' /tmp/hrt_batch_tab.txt; then
   echo "check.sh: admit batch did not admit a tab-separated set" >&2
+  exit 1
+fi
+# An unreadable FILE is a usage error (exit 2, like a bad spec line),
+# not an uncaught Sys_error (exit 125).
+status=0
+dune exec bin/hrt_sim.exe -- admit batch /nonexistent/hrt-batch-file \
+  2>/tmp/hrt_batch_missing.txt || status=$?
+cat /tmp/hrt_batch_missing.txt
+if [ "$status" -ne 2 ] ||
+  ! grep -q '^admit batch: .*No such file' /tmp/hrt_batch_missing.txt; then
+  echo "check.sh: admit batch on a missing file exited $status" >&2
   exit 1
 fi
 
@@ -143,5 +155,44 @@ flood 64 80
 # select cannot watch an fd >= 1024 (EINVAL), which also ended the
 # daemon; connections past the 1,000 cap are now refused instead.
 flood 4096 1100
+
+echo "== clients that close before the reply =="
+# 200 clients each send a query and close without reading. Each reply's
+# write then hits a closed socket, which used to end the daemon with
+# SIGPIPE; the daemon must still admit a query and drain with exit 0.
+sock=/tmp/hrt-sigpipe-$$.sock
+"$hrt_sim" serve --socket "$sock" >/tmp/hrt_sigpipe_daemon.txt 2>&1 &
+daemon=$!
+python3 - "$sock" 200 <<'PY'
+import socket, sys, time
+path, n = sys.argv[1], int(sys.argv[2])
+payload = b"query P:1000:300"
+frame = b"hrt1 %d\n%s" % (len(payload), payload)
+sent = 0
+give_up = time.time() + 10
+while sent < n and time.time() < give_up:
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        s.connect(path)
+        s.sendall(frame)
+        sent += 1
+    except OSError:
+        if sent:
+            break  # the daemon is gone
+        time.sleep(0.01)  # the daemon has not bound yet
+    finally:
+        s.close()
+PY
+status=0
+"$hrt_sim" serve --client --socket "$sock" 'query P:1000:300' drain \
+  >/tmp/hrt_sigpipe_reply.txt || status=$?
+[ "$status" -eq 0 ] || kill "$daemon" 2>/dev/null || true
+wait "$daemon" || status=$?
+cat /tmp/hrt_sigpipe_reply.txt /tmp/hrt_sigpipe_daemon.txt
+if [ "$status" -ne 0 ] || ! grep -q '^admitted ' /tmp/hrt_sigpipe_reply.txt
+then
+  echo "check.sh: daemon did not survive clients closing before the reply" >&2
+  exit 1
+fi
 
 echo "check.sh: all gates passed"

@@ -665,13 +665,17 @@ let admit_batch_cmd =
       & info [] ~docv:"FILE" ~doc:"Task-set file ($(b,-) for stdin).")
   in
   let run policy platform raw metrics_out file =
-    let ic = if file = "-" then stdin else open_in file in
     let lines = ref [] in
     (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> if file <> "-" then close_in ic);
+       let ic = if file = "-" then stdin else open_in file in
+       try
+         while true do
+           lines := input_line ic :: !lines
+         done
+       with End_of_file -> if file <> "-" then close_in ic
+     with Sys_error m ->
+       Printf.eprintf "admit batch: %s\n" m;
+       exit 2);
     let sets =
       List.rev_map String.trim !lines
       |> List.filter (fun line -> line <> "" && line.[0] <> '#')

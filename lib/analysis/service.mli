@@ -5,39 +5,39 @@
     multiset hit the same entry, and because the key is the injective
     encoding (no digest), a hit is exact — two sets share an entry only
     when they agree on every field the analysis reads. The shard is a
-    fixed function of the key's bytes. Shards are mutex-guarded and the
-    counters are atomic, so one service may be shared by the domains of
-    a {!Hrt_par.Par} fan-out; because the oracle is deterministic,
-    results are identical for any interleaving — a batch at [jobs = n]
-    returns byte-identical verdicts to the same batch at [jobs = 1]. *)
+    fixed function of the key's bytes, and each shard evicts its oldest
+    key first.
+
+    A service belongs to one domain at a time: its tables and counters
+    are plain mutable state, with no lock and no atomic. Only
+    [batch ?pool] reaches other domains, and they run nothing but the
+    pure analysis of the batch's distinct misses; the calling domain
+    does every lookup, insert and count. *)
 
 open Hrt_par
 
 type t
 
 val create : ?shards:int -> ?capacity:int -> unit -> t
-(** [shards] (default 8, clamped to [1 .. 64]) bounds lock contention;
+(** [shards] (default 8, clamped to [1 .. 64]) splits the cache;
     [capacity] (default 1024, at least 1) bounds entries {e per shard},
     evicted FIFO. *)
 
 val query : t -> Taskset.t -> Oracle.result
 (** One analysis, served from cache when an equivalent set (same
-    fingerprint) was analyzed before. Concurrent misses on one key are
-    single-flight: the first domain runs {!Oracle.analyze} while peers
-    block on the in-flight entry and are handed the same result — the
-    oracle runs exactly once per distinct computation, one miss is
-    counted for the computing domain, and every waiter counts a hit, so
-    cache statistics are identical at any job count. *)
+    fingerprint) was analyzed before. A miss runs {!Oracle.analyze} and
+    inserts its result. *)
 
 val batch : ?pool:Par.Pool.t -> t -> Taskset.t list -> Oracle.result list
 (** Results for the list, in submission order. Hits are answered first,
-    on the calling domain (fingerprint, shard, one locked lookup); only
-    the distinct missed fingerprints then go through [query]'s
-    single-flight path, fanned across the [pool]'s domains
-    ({!Hrt_par.Par.map}) when at least two remain — an all-hit batch
-    spawns no domain. A repeat of a missed fingerprint within the batch
-    is served the same analysis and counts a hit. Results, hits, misses,
-    entries and evictions are identical at any job count. *)
+    on the calling domain; then each distinct missed fingerprint is
+    analyzed once — across the [pool]'s domains ({!Hrt_par.Par.map})
+    when a pool is given and at least two misses remain, so an all-hit
+    batch spawns no domain — and the calling domain inserts the results
+    in the order the batch first named them. A repeat of a missed
+    fingerprint within the batch is served the same analysis and counts
+    a hit. Results, hits, misses, entries, evictions and which keys stay
+    resident are identical with and without a pool. *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 

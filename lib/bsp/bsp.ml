@@ -215,9 +215,6 @@ let run ?(seed = 42L) ?(platform = Platform.phi) ?(until = Time.sec 100)
   done;
   let miss_before = Scheduler.total_misses sys in
   Scheduler.run ~until sys;
-  (* The group registry is process-global: drop the reference so this
-     run's whole simulated system can be collected. *)
-  Group.dispose group;
   let checksum = Array.fold_left ( +. ) 0. shared.domain in
   {
     exec_time =

@@ -20,45 +20,21 @@ type t = {
   join_sec : section;
 }
 
-(* The name registry is a process-wide association list filtered by
-   scheduler identity, so independent simulated systems cannot see each
-   other's groups. It is the one piece of state shared between systems,
-   so it is mutex-protected: parallel sweep jobs (Hrt_par) create and
-   dispose groups from different domains. *)
-let registry : t list ref = ref []
-let registry_mu = Mutex.create ()
-
 let create sys ~name =
-  let t =
-    {
-      sys;
-      name;
-      members = [];
-      size = 0;
-      constraints = None;
-      locked_by = None;
-      join_sec =
-        {
-          contenders = 0;
-          last_enter = Int64.min_int;
-          cost = (Scheduler.platform sys).Hrt_hw.Platform.group_join_step;
-        };
-    }
-  in
-  Mutex.protect registry_mu (fun () -> registry := t :: !registry);
-  t
-
-let find sys name =
-  Mutex.protect registry_mu (fun () ->
-      List.find_opt (fun g -> g.name = name && g.sys == sys) !registry)
-
-let dispose t =
-  Mutex.protect registry_mu (fun () ->
-      registry := List.filter (fun g -> not (g == t)) !registry)
-
-let destroy t =
-  if t.size > 0 then invalid_arg "Group.destroy: members remain";
-  dispose t
+  {
+    sys;
+    name;
+    members = [];
+    size = 0;
+    constraints = None;
+    locked_by = None;
+    join_sec =
+      {
+        contenders = 0;
+        last_enter = Int64.min_int;
+        cost = (Scheduler.platform sys).Hrt_hw.Platform.group_join_step;
+      };
+  }
 
 let name t = t.name
 let size t = t.size

@@ -1,6 +1,6 @@
 (** Thread groups (paper Section 4.2).
 
-    Threads can create, join, leave, and destroy named groups; a group
+    Threads can create, join and leave named groups; a group
     carries shared state (notably the timing constraints all members want).
     Join/leave serialize on the group's spin lock, so their cost grows
     with contention — exactly the linear behaviour of Fig 10(a).
@@ -15,15 +15,9 @@ open Hrt_core
 type t
 
 val create : Scheduler.t -> name:string -> t
-(** Create (and register) a named group. *)
-
-val find : Scheduler.t -> string -> t option
-val destroy : t -> unit
-(** Unregister the group. Raises [Invalid_argument] if members remain. *)
-
-val dispose : t -> unit
-(** Unregister unconditionally (end-of-experiment cleanup: the registry is
-    global, so a forgotten group would retain its whole simulated system). *)
+(** A new, empty group. Only the caller and the bodies built from it
+    refer to it; nothing process-wide does, so a finished experiment's
+    groups are collected with its simulated system. *)
 
 val name : t -> string
 val size : t -> int

@@ -186,4 +186,5 @@ let run_group_admission ?(phase_correction = true) ?probe ?after sys ~workers
                  b ctx);
               after;
             ]))
-  done
+  done;
+  group

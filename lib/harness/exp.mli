@@ -112,7 +112,9 @@ val run_group_admission :
   workers:int ->
   Constraints.t ->
   unit ->
-  unit
+  Hrt_group.Group.t
 (** Spawn [workers] threads (CPUs 1..workers), have them join one group and
     collectively adopt the constraints (Algorithm 1), then continue with
-    [after] (default: burn CPU forever). Does not run the engine. *)
+    [after] (default: burn CPU forever). Does not run the engine. Returns
+    the group, which the caller holds to inspect its members: nothing
+    else refers to it. *)

@@ -17,14 +17,11 @@ let collect ?ctx ~workers ~phase_correction () =
   let collector =
     Exp.make_spread_collector sys ~workers ~period ~settle:(Time.ms 20)
   in
-  Exp.run_group_admission ~phase_correction sys ~workers
-    (Constraints.periodic ~period ~slice:(Time.us 20) ())
-    ();
+  ignore
+    (Exp.run_group_admission ~phase_correction sys ~workers
+       (Constraints.periodic ~period ~slice:(Time.us 20) ())
+       ());
   Scheduler.run ~until:horizon sys;
-  (* Unregister the group so the whole system can be collected. *)
-  (match Hrt_group.Group.find sys "exp-group" with
-  | Some g -> Hrt_group.Group.dispose g
-  | None -> ());
   Exp.spreads collector
 
 let run ?ctx () =

@@ -18,7 +18,6 @@ type team = {
   mode : mode;
   nworkers : int;
   mutable workers : Thread.t list;
-  group : Group.t;
   barrier : Gbarrier.t;
   mutable loops : loop list;  (* reverse submission order *)
   mutable submitted : int;
@@ -114,7 +113,6 @@ let create_team sys ~cpus ~mode =
       mode;
       nworkers;
       workers = [];
-      group;
       barrier;
       loops = [];
       submitted = 0;
@@ -204,5 +202,4 @@ let total_misses t =
 
 let shutdown t =
   t.shutting_down <- true;
-  List.iter (fun th -> Scheduler.wake t.sys th) t.workers;
-  Group.dispose t.group
+  List.iter (fun th -> Scheduler.wake t.sys th) t.workers

@@ -63,5 +63,4 @@ val admitted : team -> bool
 val total_misses : team -> int
 
 val shutdown : team -> unit
-(** Ask the workers to exit after the current loop sequence and release
-    the team's group registration. *)
+(** Ask the workers to exit after the current loop sequence. *)

@@ -488,6 +488,10 @@ let run ?(install_sigterm = false) t =
            (Sys.Signal_handle (fun _ -> request_drain t)))
     else None
   in
+  (* A client that closes before reading its reply would otherwise end
+     the process on the reply's write; ignored, the write fails with
+     EPIPE and [flush_conn] drops that connection alone. *)
+  let prev_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let buf = Bytes.create scratch in
   let finished = ref false in
   while not !finished do
@@ -565,6 +569,7 @@ let run ?(install_sigterm = false) t =
       close_out oc)
     t.trace;
   Printf.eprintf "%s\n%!" (stats_line t);
+  Sys.set_signal Sys.sigpipe prev_sigpipe;
   match prev_sigterm with
   | Some prev -> Sys.set_signal Sys.sigterm prev
   | None -> ()

@@ -87,8 +87,10 @@ val request_drain : t -> unit
 
 val run : ?install_sigterm:bool -> t -> unit
 (** Serve until drained. With [install_sigterm] (daemon mode), SIGTERM
-    triggers {!request_drain}. The final stats line is printed to stderr
-    on return. *)
+    triggers {!request_drain}. SIGPIPE is ignored while the server runs,
+    so a client that closes before reading its reply loses only its own
+    connection. Both dispositions are restored on return, and the final
+    stats line is printed to stderr. *)
 
 val stats_line : t -> string
 (** The machine-readable stats payload (same fields as the [stats]

@@ -280,58 +280,24 @@ let test_batch_jobs_identical () =
   let s = Service.stats svc in
   Alcotest.(check int) "second pass all hits" (List.length sets) s.Service.hits
 
-(* Regression: two domains missing the same fingerprint used to both run
-   Oracle.analyze and both count a miss (and both insert, leaving two
-   eviction-queue entries for one key). Single-flight collapses the race:
-   exactly one analysis, one miss, one entry, one eviction slot — however
-   many domains hammer the key. *)
-let test_cache_single_flight () =
-  let ts =
-    production [ p ~period_us:700 ~slice_us:180; p ~period_us:900 ~slice_us:200 ]
-  in
-  let domains = 4 and rounds = 8 in
-  let svc = Service.create ~shards:1 ~capacity:2 () in
-  let gate = Atomic.make 0 in
-  let workers =
-    List.init domains (fun _ ->
-        Domain.spawn (fun () ->
-            Atomic.incr gate;
-            while Atomic.get gate < domains do
-              Domain.cpu_relax ()
-            done;
-            List.init rounds (fun _ -> Service.query svc ts)))
-  in
-  let results = List.concat_map Domain.join workers in
-  let expect = List.hd results in
-  List.iter
-    (fun r -> Alcotest.(check bool) "all domains same result" true (r = expect))
-    results;
-  let s = Service.stats svc in
-  Alcotest.(check int) "exactly one analysis ran" 1 s.Service.misses;
-  Alcotest.(check int) "every other query is a hit"
-    ((domains * rounds) - 1)
-    s.Service.hits;
-  Alcotest.(check int) "one cache entry" 1 s.Service.entries;
-  (* One eviction-queue slot for the hammered key: at capacity 2, two more
-     distinct inserts evict it exactly once (a double insert would leave a
-     second queue entry and evict twice). *)
-  List.iter
-    (fun other -> ignore (Service.query svc other))
-    (corpus ~n:2 ~seed:21L);
-  Alcotest.(check int) "hammered key held one eviction slot" 1
-    (Service.stats svc).Service.evictions
-
 (* Cache stats are independent of the job count: a corpus with
    duplicates, and a batch mixing warm hits, repeated misses and distinct
    misses, see the same results, hits, misses, entries and evictions at
    jobs=1 and jobs=4 — also in one shard of capacity 2, where the hits
-   answered first are evicted by the misses analyzed after them. *)
+   answered first are evicted by the misses analyzed after them, and
+   where re-querying the batch's misses one at a time tells which of
+   them stayed resident. *)
 let test_cache_stats_job_invariant () =
   let base = corpus ~n:12 ~seed:17L in
   let warm = corpus ~n:2 ~seed:23L in
+  let x, y, z =
+    match corpus ~n:3 ~seed:29L with
+    | [ x; y; z ] -> (x, y, z)
+    | _ -> Alcotest.fail "corpus size"
+  in
   let mixed =
-    match (warm, corpus ~n:3 ~seed:29L) with
-    | [ a; b ], [ x; y; z ] -> [ a; x; b; x; y; a; z; x ]
+    match warm with
+    | [ a; b ] -> [ a; x; b; x; y; a; z; x ]
     | _ -> Alcotest.fail "corpus size"
   in
   let run ?shards ?capacity jobs batches =
@@ -365,6 +331,18 @@ let test_cache_stats_job_invariant () =
      handed x's result); the three inserts then evict three times. *)
   let s = same ~shards:1 ~capacity:2 "FIFO-full shard" [ warm; mixed ] in
   Alcotest.(check (list int)) "hits-first counts" [ 5; 5; 2; 3 ]
+    Service.[ s.misses; s.hits; s.entries; s.evictions ];
+  (* x, y, z were inserted in that order, so y and z are resident. One
+     batch of all three would miss exactly one of them whichever it is;
+     one at a time, a miss on x evicts y, which then misses and evicts
+     z, which misses in turn. Any other insert order leaves another pair
+     resident, and one of these queries then hits. *)
+  let s =
+    same ~shards:1 ~capacity:2 "FIFO-full shard, re-queried"
+      [ warm; mixed; [ x ]; [ y ]; [ z ] ]
+  in
+  Alcotest.(check (list int)) "the batch's last two misses stayed"
+    [ 8; 5; 2; 6 ]
     Service.[ s.misses; s.hits; s.entries; s.evictions ]
 
 let test_service_probes () =
@@ -779,7 +757,6 @@ let suite =
       test_cache_warm_equals_cold;
     Alcotest.test_case "cache eviction FIFO" `Quick test_cache_eviction_fifo;
     Alcotest.test_case "batch jobs=1 vs jobs=4" `Quick test_batch_jobs_identical;
-    Alcotest.test_case "cache single-flight" `Quick test_cache_single_flight;
     Alcotest.test_case "cache stats job-invariant" `Quick
       test_cache_stats_job_invariant;
     Alcotest.test_case "cache probes exported" `Quick test_service_probes;

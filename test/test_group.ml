@@ -40,26 +40,6 @@ let test_join_leave () =
   Scheduler.run ~until:(Time.ms 4) sys;
   Alcotest.(check int) "all left" 0 (Group.size group)
 
-let test_registry () =
-  let sys = mk () in
-  let g = Group.create sys ~name:"named" in
-  Alcotest.(check bool) "found" true
-    (match Group.find sys "named" with Some g' -> g' == g | None -> false);
-  Alcotest.(check bool) "missing" true (Group.find sys "other" = None);
-  Group.destroy g;
-  Alcotest.(check bool) "destroyed" true (Group.find sys "named" = None)
-
-let test_destroy_nonempty_rejected () =
-  let sys = mk () in
-  let g = Group.create sys ~name:"busy" in
-  ignore
-    (Scheduler.spawn sys ~cpu:1
-       (Program.seq [ Group.join g; Program.of_steps [ Thread.Block ] ]));
-  Scheduler.run ~until:(Time.ms 1) sys;
-  Alcotest.check_raises "members remain"
-    (Invalid_argument "Group.destroy: members remain") (fun () ->
-      Group.destroy g)
-
 let test_group_lock () =
   let sys = mk () in
   let g = Group.create sys ~name:"l" in
@@ -257,23 +237,16 @@ let test_reduction_or_semantics () =
 
 (* ---- group admission (Algorithm 1) ---- *)
 
-let admit_group ?(phase_correction = true) ?(config = Config.default) ~workers
-    constr =
-  let sys = mk ~num_cpus:(workers + 1) ~config () in
-  let results = ref [] in
-  Hrt_harness.Exp.run_group_admission ~phase_correction sys ~workers constr ();
-  ignore results;
-  Scheduler.run ~until:(Time.ms 50) sys;
-  sys
-
 let test_group_admission_success () =
   let workers = 6 in
-  let sys =
-    admit_group ~workers
+  let sys = mk ~num_cpus:(workers + 1) () in
+  let group =
+    Hrt_harness.Exp.run_group_admission sys ~workers
       (Constraints.periodic ~period:(Time.us 200) ~slice:(Time.us 40) ())
+      ()
   in
+  Scheduler.run ~until:(Time.ms 50) sys;
   (* All members must now be periodic and making lock-step progress. *)
-  let group = Option.get (Group.find sys "exp-group") in
   List.iter
     (fun (th : Thread.t) ->
       Alcotest.(check bool) "member realtime" true (Thread.is_realtime th);
@@ -299,11 +272,12 @@ let test_group_admission_all_or_nothing () =
           ]));
   Scheduler.run ~until:(Time.ms 1) sys;
   Alcotest.(check bool) "hog admitted" true !hog_admitted;
-  Hrt_harness.Exp.run_group_admission sys ~workers
-    (Constraints.periodic ~period:(Time.us 100) ~slice:(Time.us 30) ())
-    ();
+  let group =
+    Hrt_harness.Exp.run_group_admission sys ~workers
+      (Constraints.periodic ~period:(Time.us 100) ~slice:(Time.us 30) ())
+      ()
+  in
   Scheduler.run ~until:(Time.ms 30) sys;
-  let group = Option.get (Group.find sys "exp-group") in
   List.iter
     (fun (th : Thread.t) ->
       Alcotest.(check bool) "fell back to aperiodic" false (Thread.is_realtime th))
@@ -318,9 +292,10 @@ let test_phase_correction_tightens_spread () =
       Hrt_harness.Exp.make_spread_collector sys ~workers ~period
         ~settle:(Time.ms 10)
     in
-    Hrt_harness.Exp.run_group_admission ~phase_correction:pc sys ~workers
-      (Constraints.periodic ~period ~slice:(Time.us 40) ())
-      ();
+    ignore
+      (Hrt_harness.Exp.run_group_admission ~phase_correction:pc sys ~workers
+         (Constraints.periodic ~period ~slice:(Time.us 40) ())
+         ());
     Scheduler.run ~until:(Time.ms 40) sys;
     let sp = Hrt_harness.Exp.spreads collector in
     Alcotest.(check bool) "collected" true (Array.length sp > 10);
@@ -385,8 +360,6 @@ let test_release_orders_recorded () =
 let suite =
   [
     Alcotest.test_case "join and leave" `Quick test_join_leave;
-    Alcotest.test_case "named registry" `Quick test_registry;
-    Alcotest.test_case "destroy nonempty rejected" `Quick test_destroy_nonempty_rejected;
     Alcotest.test_case "group lock" `Quick test_group_lock;
     Alcotest.test_case "election: single leader" `Quick test_election_single_leader;
     Alcotest.test_case "barrier releases all" `Quick test_barrier_releases_all;

@@ -123,15 +123,31 @@ let test_exp_spread_collector () =
     Exp.make_spread_collector sys ~workers:4 ~period
       ~settle:(Hrt_engine.Time.ms 2)
   in
-  Exp.run_group_admission sys ~workers:4
-    (Hrt_core.Constraints.periodic ~period ~slice:(Hrt_engine.Time.us 20) ())
-    ();
+  ignore
+    (Exp.run_group_admission sys ~workers:4
+       (Hrt_core.Constraints.periodic ~period ~slice:(Hrt_engine.Time.us 20) ())
+       ());
   Hrt_core.Scheduler.run ~until:(Hrt_engine.Time.ms 20) sys;
   let sp = Exp.spreads c in
   Alcotest.(check bool) "collected spreads" true (Array.length sp > 50);
   Array.iter
     (fun s -> Alcotest.(check bool) "spread positive and sane" true (s >= 0. && s < 1e6))
     sp
+
+(* An experiment keeps nothing of the systems it boots once it returns.
+   Fig 10 creates a group per system; a process-wide group registry held
+   every such group, its system and the sink in that system's context,
+   for the life of the process. Jobs=1 hands the sink itself to every
+   system (wider runs give each job a child sink). *)
+let test_fig10_releases_its_systems () =
+  let weak = Weak.create 1 in
+  (let sink = Hrt_obs.Sink.create ~trace:false () in
+   Weak.set weak 0 (Some sink);
+   let ctx = Exp.Ctx.make ~scale:Exp.Quick ~sink ~jobs:1 () in
+   ignore (Fig10.run ~ctx ()));
+  Gc.full_major ();
+  Alcotest.(check bool) "sink collected after the run" false
+    (Weak.check weak 0)
 
 let test_light_experiments_produce_tables () =
   List.iter
@@ -184,6 +200,8 @@ let suite =
     Alcotest.test_case "ablation edf-vs-rm table" `Quick test_ablation_policy_table;
     Alcotest.test_case "experiment ctx defaults" `Quick test_exp_ctx_default;
     Alcotest.test_case "spread collector" `Quick test_exp_spread_collector;
+    Alcotest.test_case "fig10 releases its systems" `Quick
+      test_fig10_releases_its_systems;
     Alcotest.test_case "experiments produce tables" `Slow test_light_experiments_produce_tables;
     Alcotest.test_case "bsp sweep grids" `Quick test_bsp_sweep_grids;
     Alcotest.test_case "table accessors" `Quick test_table_accessors;

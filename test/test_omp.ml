@@ -105,10 +105,11 @@ let test_shutdown () =
   let team = Omp.create_team sys ~cpus:(cpus 2) ~mode:Omp.Aperiodic in
   Omp.parallel_for team ~iterations:8 ~cost_per_iteration:iter_cost ignore;
   Omp.run_to_completion team;
+  Alcotest.(check int) "workers alive before shutdown" 2
+    (Scheduler.threads_alive sys);
   Omp.shutdown team;
   Scheduler.run ~until:Time.(Engine.now (Scheduler.engine sys) + Time.ms 5) sys;
-  Alcotest.(check bool) "group unregistered" true
-    (Hrt_group.Group.find sys "omp-team" = None)
+  Alcotest.(check int) "workers exited" 0 (Scheduler.threads_alive sys)
 
 let suite =
   [

@@ -773,6 +773,41 @@ let test_overflow_query_survives () =
       | P.Stats_reply _ -> ()
       | r -> Alcotest.failf "stats after overflow: %s" (P.render_reply r))
 
+(* A client that sends a query and closes before reading the reply used
+   to end the whole process with SIGPIPE on the reply's write. The write
+   now fails with EPIPE and costs only that connection: after several
+   such clients, [stats] still answers and [served] counts their
+   queries. *)
+let test_send_and_close_clients () =
+  let clients = 5 in
+  with_server (fun addr _ ->
+      let path =
+        match addr with
+        | Client.Unix_path path -> path
+        | Client.Tcp _ -> Alcotest.fail "expected a Unix socket"
+      in
+      let frame = P.frame "query P:1000:300" in
+      for _ = 1 to clients do
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        ignore (Unix.write_substring fd frame 0 (String.length frame));
+        Unix.close fd
+      done;
+      (* The closed clients' queries may still be queued when [stats]
+         is answered; ask again until they are served. *)
+      let rec served attempts =
+        match must (Client.call addr "stats") with
+        | P.Stats_reply kvs ->
+          let n = Option.value ~default:0. (List.assoc_opt "served" kvs) in
+          if n >= float_of_int clients || attempts = 0 then n
+          else (
+            Unix.sleepf 0.01;
+            served (attempts - 1))
+        | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r)
+      in
+      Alcotest.(check (float 0.)) "closed clients' queries served"
+        (float_of_int clients) (served 200))
+
 (* Drain under load: pipeline a burst, drain mid-flight, and every
    accepted request still gets exactly one reply (served, or shed with
    the stable overloaded verdict) before the server closes. *)
@@ -860,6 +895,8 @@ let suite =
       test_protocol_error_over_wire;
     Alcotest.test_case "overflowing query keeps the daemon up" `Quick
       test_overflow_query_survives;
+    Alcotest.test_case "send-and-close clients keep the daemon up" `Quick
+      test_send_and_close_clients;
     Alcotest.test_case "drain under load" `Quick test_drain_under_load;
     Alcotest.test_case "drain verb stops server" `Quick
       test_drain_verb_stops_server;

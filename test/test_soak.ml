@@ -56,9 +56,11 @@ let test_soak_mixed_no_crash_deterministic () =
   let fingerprint () =
     let sys = Scheduler.create ~seed:1234L ~num_cpus:6 phi in
     (* RT group on CPUs 1-4. *)
-    Hrt_harness.Exp.run_group_admission sys ~workers:4
-      (Constraints.periodic ~period:(Time.us 200) ~slice:(Time.us 60) ())
-      ();
+    let group =
+      Hrt_harness.Exp.run_group_admission sys ~workers:4
+        (Constraints.periodic ~period:(Time.us 200) ~slice:(Time.us 60) ())
+        ()
+    in
     (* Batch threads, unbound: work stealing moves them around. *)
     for i = 1 to 6 do
       ignore
@@ -84,16 +86,12 @@ let test_soak_mixed_no_crash_deterministic () =
       (Hrt_hw.Smi.install (Scheduler.engine sys)
          { Hrt_hw.Smi.mean_interval = Time.ms 1; duration_mean = Time.us 25; duration_jitter = 0.2 });
     Scheduler.run ~until:(Time.ms 200) sys;
-    (match Hrt_group.Group.find sys "exp-group" with
-    | Some g ->
-      (* Group members kept lock-step through all the noise. *)
-      List.iter
-        (fun (th : Thread.t) ->
-          Alcotest.(check bool) "group member active" true
-            (th.Thread.arrivals > 800))
-        (Hrt_group.Group.members g);
-      Hrt_group.Group.dispose g
-    | None -> Alcotest.fail "group vanished");
+    (* Group members kept lock-step through all the noise. *)
+    List.iter
+      (fun (th : Thread.t) ->
+        Alcotest.(check bool) "group member active" true
+          (th.Thread.arrivals > 800))
+      (Hrt_group.Group.members group);
     ( Scheduler.total_arrivals sys,
       Scheduler.total_misses sys,
       Engine.events_executed (Scheduler.engine sys) )
@@ -109,9 +107,11 @@ let test_soak_group_isolated_from_noise () =
   (* The group's miss count must not depend on the noise on other CPUs. *)
   let run ~noisy =
     let sys = Scheduler.create ~seed:7L ~num_cpus:6 phi in
-    Hrt_harness.Exp.run_group_admission sys ~workers:4
-      (Constraints.periodic ~period:(Time.us 200) ~slice:(Time.us 60) ())
-      ();
+    let group =
+      Hrt_harness.Exp.run_group_admission sys ~workers:4
+        (Constraints.periodic ~period:(Time.us 200) ~slice:(Time.us 60) ())
+        ()
+    in
     if noisy then begin
       for i = 1 to 8 do
         ignore
@@ -126,14 +126,10 @@ let test_soak_group_isolated_from_noise () =
       Scheduler.start_device sys dev
     end;
     Scheduler.run ~until:(Time.ms 100) sys;
-    let g = Option.get (Hrt_group.Group.find sys "exp-group") in
-    let misses =
-      List.fold_left
-        (fun acc (th : Thread.t) -> acc + th.Thread.misses)
-        0 (Hrt_group.Group.members g)
-    in
-    Hrt_group.Group.dispose g;
-    misses
+    List.fold_left
+      (fun acc (th : Thread.t) -> acc + th.Thread.misses)
+      0
+      (Hrt_group.Group.members group)
   in
   Alcotest.(check int) "quiet run misses" (run ~noisy:false) (run ~noisy:true)
 
