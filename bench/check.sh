@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: type-check, run the full test suite and the lint, verify that
 # the observability layer costs nothing when disabled
-# (bench/overhead_check.ml), then smoke the admission CLI, run --csv and
-# the serving daemon, flood the daemon with idle connections and with
-# clients that close before their reply. The
+# (bench/overhead_check.ml), then smoke the admission CLI, run --csv,
+# run's argument checks and the serving daemon, send the daemon one set
+# in four spellings, flood it with idle connections and with clients
+# that close before their reply. The
 # performance gate is bench/gate.py over hrtbench runs (CI's hrtbench
 # job).
 set -eu
@@ -86,6 +87,36 @@ if ! cmp /tmp/hrt_metrics_plain.csv /tmp/hrt_metrics_csv.csv; then
   exit 1
 fi
 
+echo "== run resolves its arguments before running =="
+# run --csv makes DIR and its missing parents before the first
+# experiment. An unknown NAME (exit 1) or a DIR that cannot be made
+# (exit 2) is reported before anything runs, so stdout stays empty;
+# both used to surface only after the experiments had run.
+args_dir=/tmp/hrt-run-args-$$
+rm -rf "$args_dir"
+status=0
+dune exec bin/hrt_sim.exe -- run --csv "$args_dir/a/b" fig3 >/dev/null ||
+  status=$?
+if [ "$status" -ne 0 ] || [ ! -f "$args_dir/a/b/fig3-0.csv" ]; then
+  echo "check.sh: run --csv DIR/a/b exited $status or wrote no fig3-0.csv" >&2
+  exit 1
+fi
+rm -rf "$args_dir"
+status=0
+dune exec bin/hrt_sim.exe -- run fig3 nosuch >/tmp/hrt_run_unknown.txt ||
+  status=$?
+if [ "$status" -ne 1 ] || [ -s /tmp/hrt_run_unknown.txt ]; then
+  echo "check.sh: run with an unknown NAME exited $status or ran fig3" >&2
+  exit 1
+fi
+status=0
+dune exec bin/hrt_sim.exe -- run --csv /dev/null/x fig3 \
+  >/tmp/hrt_run_bad_csv.txt || status=$?
+if [ "$status" -ne 2 ] || [ -s /tmp/hrt_run_bad_csv.txt ]; then
+  echo "check.sh: run --csv with an unmakeable DIR exited $status or ran fig3" >&2
+  exit 1
+fi
+
 echo "== admission serving smoke =="
 # The daemon boots, names its socket, answers a query and drains. The
 # client retries with backoff until the daemon has bound its socket.
@@ -102,6 +133,62 @@ cat /tmp/hrt_serve_boot.txt
 if [ "$status" -ne 0 ] ||
   ! grep -q "^listening on $sock\$" /tmp/hrt_serve_boot.txt; then
   echo "check.sh: serve did not boot, answer a query and drain" >&2
+  exit 1
+fi
+
+echo "== warm queries answered from their keys =="
+# A query, its permutation, a respelling of it and the same set with an
+# @ms deadline, one at a time on one connection: one cache key, so the
+# four replies are byte-identical and stats count one miss and three
+# hits.
+sock=/tmp/hrt-key-$$.sock
+"$hrt_sim" serve --socket "$sock" >/tmp/hrt_key_daemon.txt 2>&1 &
+daemon=$!
+status=0
+python3 - "$sock" 'query P:1000:300 P:500:100' 'query P:500:100 P:1000:300' \
+  'query p:0x3E8:300 P:0500:100' 'query @1000 P:1000:300 P:500:100' \
+  stats drain >/tmp/hrt_key_replies.txt <<'PY' || status=$?
+import socket, sys, time
+path, payloads = sys.argv[1], sys.argv[2:]
+give_up = time.time() + 10
+while True:
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        s.connect(path)
+        break
+    except OSError:
+        s.close()
+        if time.time() > give_up:
+            sys.exit("the daemon never bound " + path)
+        time.sleep(0.01)
+buf = b""
+def reply():
+    global buf
+    while True:
+        nl = buf.find(b"\n")
+        if nl >= 0:
+            n = int(buf[:nl].split(b" ")[1])
+            if len(buf) > nl + n:
+                payload, buf = buf[nl + 1:nl + 1 + n], buf[nl + 1 + n:]
+                return payload.decode()
+        chunk = s.recv(65536)
+        if not chunk:
+            sys.exit("the daemon closed the connection")
+        buf += chunk
+for p in payloads:
+    b = p.encode()
+    s.sendall(b"hrt1 %d\n%s" % (len(b), b))
+    print(reply())
+PY
+[ "$status" -eq 0 ] || kill "$daemon" 2>/dev/null || true
+wait "$daemon" || status=$?
+cat /tmp/hrt_key_replies.txt
+if [ "$status" -ne 0 ] ||
+  ! head -n 1 /tmp/hrt_key_replies.txt | grep -q '^admitted ' ||
+  [ "$(head -n 4 /tmp/hrt_key_replies.txt | sort -u | wc -l)" -ne 1 ] ||
+  ! sed -n 5p /tmp/hrt_key_replies.txt | grep -q ' hits=3\.0 misses=1\.0 '
+then
+  echo "check.sh: four spellings of one set were not one miss and three identical hits" >&2
   exit 1
 fi
 

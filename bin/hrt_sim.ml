@@ -213,6 +213,24 @@ let run_cmd =
       out.Fault_sweep.lo_misses out.Fault_sweep.sheds
       out.Fault_sweep.recovers out.Fault_sweep.boundary
   in
+  (* The --csv directory and its missing parents, like [mkdir -p]. *)
+  let make_csv_dir dir =
+    let rec mkdir_p d =
+      if not (Sys.file_exists d) then begin
+        mkdir_p (Filename.dirname d);
+        try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
+      end
+    in
+    match
+      mkdir_p dir;
+      if not (Sys.is_directory dir) then
+        raise (Sys_error (dir ^ ": Not a directory"))
+    with
+    | () -> ()
+    | exception Sys_error m ->
+      Printf.eprintf "run: --csv %s\n" m;
+      exit 2
+  in
   let run scale csv_dir trace_out metrics_out selfcheck policy jobs inject
       intensity no_degrade names =
     let fault, degrade = resolve_fault inject intensity no_degrade in
@@ -220,36 +238,42 @@ let run_cmd =
       Printf.eprintf "run: missing experiment NAME (or --inject for the demo)\n";
       exit 1
     end;
+    (* Every name is resolved and the --csv directory made before the
+       first experiment runs, so a usage error costs no run. *)
+    let experiments =
+      List.map
+        (fun name ->
+          match Registry.find name with
+          | Some e -> (name, e)
+          | None ->
+            Printf.eprintf "unknown experiment %S; try `hrt_sim list`\n" name;
+            exit 1)
+        names
+    in
+    Option.iter make_csv_dir csv_dir;
     with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
-        if names = [] then demo ~sink ~scale ~policy ~fault ~degrade
+        if experiments = [] then demo ~sink ~scale ~policy ~fault ~degrade
         else begin
           let ctx =
             Exp.Ctx.make ~scale ~policy ~sink ~jobs ?fault ~degrade ()
           in
           List.iter
-            (fun name ->
-              match Registry.find name with
-              | Some e -> (
-                let tables = Registry.run_and_print ~ctx e in
-                match csv_dir with
-                | None -> ()
-                | Some dir ->
-                  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-                  List.iteri
-                    (fun i table ->
-                      let path =
-                        Filename.concat dir (Printf.sprintf "%s-%d.csv" name i)
-                      in
-                      Hrt_stats.Csv.write ~path
-                        ~header:(Hrt_stats.Table.headers table)
-                        (Hrt_stats.Table.to_rows table);
-                      Printf.printf "wrote %s\n" path)
-                    tables)
-              | None ->
-                Printf.eprintf "unknown experiment %S; try `hrt_sim list`\n"
-                  name;
-                exit 1)
-            names
+            (fun (name, e) ->
+              let tables = Registry.run_and_print ~ctx e in
+              match csv_dir with
+              | None -> ()
+              | Some dir ->
+                List.iteri
+                  (fun i table ->
+                    let path =
+                      Filename.concat dir (Printf.sprintf "%s-%d.csv" name i)
+                    in
+                    Hrt_stats.Csv.write ~path
+                      ~header:(Hrt_stats.Table.headers table)
+                      (Hrt_stats.Table.to_rows table);
+                    Printf.printf "wrote %s\n" path)
+                  tables)
+            experiments
         end)
   in
   Cmd.v (Cmd.info "run" ~doc)

@@ -1,7 +1,37 @@
 open Hrt_par
 
+(* Shard choice folds the key's own bytes, eight at a time, instead of
+   [Hashtbl.hash], so the mapping is fixed by the key alone — stable
+   across runs, domains, and compiler versions. The final shift brings
+   the high bits, which every byte reaches through the multiplications,
+   down to the low bits the modulus reads. *)
+let rec fold_key key i h =
+  let n = String.length key in
+  if i + 8 <= n then
+    fold_key key (i + 8)
+      ((h lxor Int64.to_int (String.get_int64_le key i)) * 0x100000001b3)
+  else if i < n then
+    fold_key key (i + 1) ((h lxor Char.code key.[i]) * 0x100000001b3)
+  else h lxor (h lsr 32)
+
+(* A shard's table compares keys with [String.equal], not the
+   polymorphic compare of the generic [Hashtbl]. Its hash mixes
+   [fold_key] once more: every key of a shard agrees on [fold_key mod
+   shards], so without the mix they would share those low bits and
+   crowd into a fraction of the buckets. *)
+module Table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash key =
+    let h = fold_key key 0 0 in
+    let h = (h lxor (h lsr 31)) * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
 type shard = {
-  table : (string, Oracle.result) Hashtbl.t;
+  table : Oracle.result Table.t;
   order : string Queue.t;  (* insertion order, for FIFO eviction *)
 }
 
@@ -18,26 +48,12 @@ let create ?(shards = 8) ?(capacity = 1024) () =
   {
     shards =
       Array.init shards (fun _ ->
-          { table = Hashtbl.create 64; order = Queue.create () });
+          { table = Table.create 64; order = Queue.create () });
     capacity = Stdlib.max 1 capacity;
     hits = 0;
     misses = 0;
     evictions = 0;
   }
-
-(* Shard choice folds the key's own bytes, eight at a time, instead of
-   [Hashtbl.hash], so the mapping is fixed by the key alone — stable
-   across runs, domains, and compiler versions. The final shift brings
-   the high bits, which every byte reaches through the multiplications,
-   down to the low bits the modulus reads. *)
-let rec fold_key key i h =
-  let n = String.length key in
-  if i + 8 <= n then
-    fold_key key (i + 8)
-      ((h lxor Int64.to_int (String.get_int64_le key i)) * 0x100000001b3)
-  else if i < n then
-    fold_key key (i + 1) ((h lxor Char.code key.[i]) * 0x100000001b3)
-  else h lxor (h lsr 32)
 
 let shard_of t key =
   t.shards.((fold_key key 0 0 land max_int) mod Array.length t.shards)
@@ -46,24 +62,28 @@ let shard_of t key =
    capacity. Only a miss inserts, so [order] holds each resident key
    exactly once and a full table never meets an empty queue. *)
 let insert t s key r =
-  if Hashtbl.length s.table >= t.capacity then begin
-    Hashtbl.remove s.table (Queue.take s.order);
+  if Table.length s.table >= t.capacity then begin
+    Table.remove s.table (Queue.take s.order);
     t.evictions <- t.evictions + 1
   end;
-  Hashtbl.replace s.table key r;
+  Table.replace s.table key r;
   Queue.push key s.order
+
+let find t key =
+  match Table.find_opt (shard_of t key).table key with
+  | Some _ as r ->
+    t.hits <- t.hits + 1;
+    r
+  | None -> None
 
 let query t ts =
   let key = Taskset.fingerprint ts in
-  let s = shard_of t key in
-  match Hashtbl.find_opt s.table key with
-  | Some r ->
-    t.hits <- t.hits + 1;
-    r
+  match find t key with
+  | Some r -> r
   | None ->
     t.misses <- t.misses + 1;
     let r = Oracle.analyze ts in
-    insert t s key r;
+    insert t (shard_of t key) key r;
     r
 
 let sequential = Par.Pool.create ~jobs:1
@@ -75,26 +95,23 @@ let sequential = Par.Pool.create ~jobs:1
    batch first named them. Hits, misses, inserts and evictions therefore
    depend on the batch and the cache it met, never on the pool. *)
 let batch ?(pool = sequential) t tasksets =
-  let missed = Hashtbl.create 8 in
+  let missed = Table.create 8 in
   let todo = ref [] in
   let answers =
     List.map
       (fun ts ->
         let key = Taskset.fingerprint ts in
-        let s = shard_of t key in
-        match Hashtbl.find_opt s.table key with
-        | Some r ->
-          t.hits <- t.hits + 1;
-          Either.Left r
+        match find t key with
+        | Some r -> Either.Left r
         | None -> (
-          match Hashtbl.find_opt missed key with
+          match Table.find_opt missed key with
           | Some i ->
             t.hits <- t.hits + 1;
             Either.Right i
           | None ->
-            let i = Hashtbl.length missed in
-            Hashtbl.replace missed key i;
-            todo := (s, key, ts) :: !todo;
+            let i = Table.length missed in
+            Table.replace missed key i;
+            todo := (shard_of t key, key, ts) :: !todo;
             Either.Right i))
       tasksets
   in
@@ -107,7 +124,7 @@ let batch ?(pool = sequential) t tasksets =
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 let entries t =
-  Array.fold_left (fun acc s -> acc + Hashtbl.length s.table) 0 t.shards
+  Array.fold_left (fun acc s -> acc + Table.length s.table) 0 t.shards
 
 let stats (t : t) =
   { hits = t.hits; misses = t.misses; evictions = t.evictions; entries = entries t }

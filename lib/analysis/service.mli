@@ -1,12 +1,12 @@
 (** Batched, memoized admission analysis.
 
     A service front-ends {!Oracle.analyze} with a sharded cache keyed by
-    {!Taskset.fingerprint} itself: permutations of the same constraint
-    multiset hit the same entry, and because the key is the injective
-    encoding (no digest), a hit is exact — two sets share an entry only
-    when they agree on every field the analysis reads. The shard is a
-    fixed function of the key's bytes, and each shard evicts its oldest
-    key first.
+    {!Taskset.fingerprint} itself, compared with [String.equal]:
+    permutations of the same constraint multiset hit the same entry, and
+    because the key is the injective encoding (no digest), a hit is
+    exact — two sets share an entry only when they agree on every field
+    the analysis reads. The shard is a fixed function of the key's
+    bytes, and each shard evicts its oldest key first.
 
     A service belongs to one domain at a time: its tables and counters
     are plain mutable state, with no lock and no atomic. Only
@@ -27,6 +27,13 @@ val query : t -> Taskset.t -> Oracle.result
 (** One analysis, served from cache when an equivalent set (same
     fingerprint) was analyzed before. A miss runs {!Oracle.analyze} and
     inserts its result. *)
+
+val find : t -> string -> Oracle.result option
+(** The resident analysis of the set whose {!Taskset.fingerprint} is
+    the key, if any. A resident key counts a hit; a key that is not
+    resident counts nothing and inserts nothing, so a caller that
+    misses and then hands the set to {!batch} or {!query} counts one
+    miss, as if it had called that alone. *)
 
 val batch : ?pool:Par.Pool.t -> t -> Taskset.t list -> Oracle.result list
 (** Results for the list, in submission order. Hits are answered first,

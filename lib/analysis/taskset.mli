@@ -53,4 +53,19 @@ val fingerprint : t -> string
     encoding is injective and not hashed, so equal fingerprints mean
     equal analyses. *)
 
+val key_prefix : t -> string
+(** The first bytes of [fingerprint t]: every field but the task
+    records. It depends on the configuration and overhead alone, so a
+    caller that keys many sets under one view computes it once. *)
+
+val key_of_us : prefix:string -> int array -> int -> string
+(** [key_of_us ~prefix recs n] is the fingerprint of a set under the
+    view whose {!key_prefix} is [prefix], read from the [n] task
+    records [(kind, a, b)] at [recs.(3i)], [recs.(3i+1)],
+    [recs.(3i+2)] in microseconds: [(1, period, slice)] for periodic,
+    [(2, size, deadline)] for sporadic (phase 0), [(0, 0, 0)] for
+    aperiodic. Every field must lie in [0, Int64.max_int / 1000], so
+    that it converts to nanoseconds without wrapping. Sorts the first
+    [n] records in place (an insertion sort: the caller bounds [n]). *)
+
 val pp : Format.formatter -> t -> unit

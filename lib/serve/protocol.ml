@@ -1,5 +1,6 @@
 open Hrt_engine
 open Hrt_core
+open Hrt_analysis
 
 let magic = "hrt1"
 let default_max_frame = 65536
@@ -52,8 +53,33 @@ let describe_error = function
 
 (* ---- framing ---- *)
 
+(* The header [hrt1 <len>\n] is written by hand: [Printf] and
+   [string_of_int] both format through C's [snprintf]. *)
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
+let rec put_decimal b last n =
+  Bytes.set b last (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+  if n >= 10 then put_decimal b (last - 1) (n / 10)
+
+let framed_length payload =
+  let len = String.length payload in
+  String.length magic + 2 + decimal_width len + len
+
+let blit_frame payload b off =
+  let len = String.length payload in
+  let digits = off + String.length magic + 1 in
+  let nl = digits + decimal_width len in
+  Bytes.blit_string magic 0 b off (String.length magic);
+  Bytes.set b (digits - 1) ' ';
+  put_decimal b (nl - 1) len;
+  Bytes.set b nl '\n';
+  Bytes.blit_string payload 0 b (nl + 1) len;
+  nl + 1 + len
+
 let frame payload =
-  Printf.sprintf "%s %d\n%s" magic (String.length payload) payload
+  let b = Bytes.create (framed_length payload) in
+  ignore (blit_frame payload b 0);
+  Bytes.unsafe_to_string b
 
 module Decoder = struct
   (* hrt1<sp> + at most 10 length digits + newline. *)
@@ -229,15 +255,22 @@ let rec colon_or_end ~in_request s k =
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* The plain decimal digits from [k] on: their value and the index
+(* The plain decimal digits from [k] on, [n] being the value of those
+   before [k]: stores their value in [out.(slot)] and returns the index
    after them. A digit that would take the value past [max_int] ends
    the run early (the division runs only near that limit). *)
-let rec decimal s k n =
+let rec decimal s k n (out : int array) slot =
   if k < String.length s && is_digit (String.unsafe_get s k) then
     let d = Char.code (String.unsafe_get s k) - Char.code '0' in
-    if n >= max_int / 10 && n > (max_int - d) / 10 then (n, k)
-    else decimal s (k + 1) ((n * 10) + d)
-  else (n, k)
+    if n >= max_int / 10 && n > (max_int - d) / 10 then begin
+      out.(slot) <- n;
+      k
+    end
+    else decimal s (k + 1) ((n * 10) + d) out slot
+  else begin
+    out.(slot) <- n;
+    k
+  end
 
 (* [int_of_string_opt s.[i..j)], with -1 for [None]: every caller
    refuses negative values too. [v] is the value of the plain decimal
@@ -254,8 +287,9 @@ let[@inline] field s i j v stop =
     | None -> -1
 
 let int_field s i j =
-  let v, stop = decimal s i 0 in
-  field s i j v stop
+  let v = [| 0 |] in
+  let stop = decimal s i 0 v 0 in
+  field s i j v.(0) stop
 
 let valid_field v = v > 0 && v <= max_spec_us
 
@@ -269,54 +303,86 @@ let shape_error s i j =
   sanitize (String.sub s i (j - i))
   ^ ": expected P:<period_us>:<slice_us>, S:<size_us>:<deadline_us>, or A"
 
-(* A well-shaped spec token [s.[i..j)], letter first, from its fields'
-   values: checked in order, the first bad one named. *)
-let spec s i j a b =
-  match s.[i] with
-  | 'P' | 'p' ->
-    if not (valid_field a) then Error (field_error s i j "period_us" a)
-    else if not (valid_field b) then Error (field_error s i j "slice_us" b)
-    else Ok (Constraints.periodic ~period:(Time.us a) ~slice:(Time.us b) ())
-  | 'S' | 's' ->
-    if not (valid_field a) then Error (field_error s i j "size_us" a)
-    else if not (valid_field b) then Error (field_error s i j "deadline_us" b)
-    else Ok (Constraints.sporadic ~size:(Time.us a) ~deadline:(Time.us b) ())
-  | _ -> Error (shape_error s i j)
+(* What [scan_spec] writes for a token that is not a spec, in place of
+   its kind: a bad shape, or the first of its two fields that is out of
+   range, whose value stays in its slot. *)
+let bad_shape = -1
+let bad_a = -2
+let bad_b = -3
 
-(* The spec token at [i]: [A], or a [P]/[S] letter in either case and
-   two fields, each after one [:]. Returns the spec or the error that
-   names the token, and the index where the token ends. The shape is
-   checked before the fields. Plain decimal fields end exactly at the
-   second [:] and at the token end, so a token of them is read in one
-   pass; only other fields need the scans for the colons and the end. *)
-let read_spec ~in_request s i =
+let[@inline] put (out : int array) o kind a b j =
+  out.(o) <- kind;
+  out.(o + 1) <- a;
+  out.(o + 2) <- b;
+  j
+
+(* The spec token at [i], scanned into [out.(o)], [out.(o + 1)] and
+   [out.(o + 2)] as (kind, a, b) in microseconds — periodic (1, period,
+   slice), sporadic (2, size, deadline), [A] (0, 0, 0) — or an error
+   kind; returns the index where the token ends. A token is [A], or a
+   [P]/[S] letter in either case and two fields, each after one [:].
+   The shape is checked before the fields, and the fields in order.
+   Plain decimal fields end exactly at the second [:] and at the token
+   end, so a token of them is read in one pass; only other fields need
+   the scans for the colons and the end. Both the request parser and
+   the key reader read specs through this scan. *)
+let scan_spec ~in_request s i (out : int array) o =
   if ends ~in_request s (i + 1) || String.unsafe_get s (i + 1) <> ':' then
     let j = token_end ~in_request s i in
-    if j = i + 1 && (s.[i] = 'A' || s.[i] = 'a') then
-      (Ok (Constraints.aperiodic ()), j)
-    else (Error (shape_error s i j), j)
+    if j = i + 1 && (s.[i] = 'A' || s.[i] = 'a') then put out o 0 0 0 j
+    else put out o bad_shape 0 0 j
   else
-    let a, a_stop = decimal s (i + 2) 0 in
+    let a_stop = decimal s (i + 2) 0 out (o + 1) in
     let c =
       if a_stop < String.length s && String.unsafe_get s a_stop = ':' then
         a_stop
       else colon_or_end ~in_request s a_stop
     in
-    if ends ~in_request s c then (Error (shape_error s i c), c)
+    if ends ~in_request s c then put out o bad_shape 0 0 c
     else
-      let b, b_stop = decimal s (c + 1) 0 in
+      let b_stop = decimal s (c + 1) 0 out (o + 2) in
       let j =
         if ends ~in_request s b_stop then b_stop
         else token_end ~in_request s b_stop
       in
       if j > b_stop && colon_or_end ~in_request s b_stop < j then
-        (Error (shape_error s i j), j)
+        put out o bad_shape 0 0 j
       else
-        let a = field s (i + 2) c a a_stop
-        and b = field s (c + 1) j b b_stop in
-        (spec s i j a b, j)
+        let a = field s (i + 2) c out.(o + 1) a_stop
+        and b = field s (c + 1) j out.(o + 2) b_stop in
+        let kind =
+          match s.[i] with
+          | 'P' | 'p' -> 1
+          | 'S' | 's' -> 2
+          | _ -> bad_shape
+        in
+        if kind = bad_shape then put out o bad_shape 0 0 j
+        else if not (valid_field a) then put out o bad_a a b j
+        else if not (valid_field b) then put out o bad_b a b j
+        else put out o kind a b j
 
-let parse_spec s = fst (read_spec ~in_request:false s 0)
+let field_name letter ~first =
+  match letter with
+  | 'P' | 'p' -> if first then "period_us" else "slice_us"
+  | _ -> if first then "size_us" else "deadline_us"
+
+(* The spec, or the error that names the token [s.[i..j)], from what
+   [scan_spec] wrote at [out.(o)]. *)
+let spec_of_scan s i j (out : int array) o =
+  let a = out.(o + 1) and b = out.(o + 2) in
+  match out.(o) with
+  | 0 -> Ok (Constraints.aperiodic ())
+  | 1 -> Ok (Constraints.periodic ~period:(Time.us a) ~slice:(Time.us b) ())
+  | 2 -> Ok (Constraints.sporadic ~size:(Time.us a) ~deadline:(Time.us b) ())
+  | k when k = bad_a ->
+    Error (field_error s i j (field_name s.[i] ~first:true) a)
+  | k when k = bad_b ->
+    Error (field_error s i j (field_name s.[i] ~first:false) b)
+  | _ -> Error (shape_error s i j)
+
+let parse_spec s =
+  let out = [| 0; 0; 0 |] in
+  spec_of_scan s 0 (scan_spec ~in_request:false s 0 out 0) out 0
 
 let tokens_of payload =
   String.split_on_char ' ' payload
@@ -343,33 +409,40 @@ let rec has_empty_set s i filled =
    the payload, and the index where the set stopped. A bad spec yields
    to a shape error later in the payload: any [;] in a query, an empty
    set in a batch. *)
-let rec set_specs ~batch s i index acc =
+let rec set_specs ~batch s i out index acc =
   let i = skip_blanks s i in
   if i = String.length s || String.unsafe_get s i = ';' then (List.rev acc, i)
   else
-    match read_spec ~in_request:true s i with
-    | Ok c, j -> set_specs ~batch s j (index + 1) (c :: acc)
-    | Error msg, j ->
+    let j = scan_spec ~in_request:true s i out 0 in
+    match spec_of_scan s i j out 0 with
+    | Ok c -> set_specs ~batch s j out (index + 1) (c :: acc)
+    | Error msg ->
       if batch then (if has_empty_set s j true then reject empty_set)
       else if String.contains_from s j ';' then reject one_set;
       reject (Bad_spec { index; msg })
 
+(* Where the [@<ms>] token at [i] ends: [i] itself when there is none.
+   Its value is [int_field s (i + 1) j]. *)
+let deadline_end s i =
+  if i < String.length s && String.unsafe_get s i = '@' then word_end s i
+  else i
+
 (* An optional [@<ms>] token where [i] points, and where the rest of
    the request starts. *)
 let deadline s i =
-  if i < String.length s && String.unsafe_get s i = '@' then begin
-    let j = word_end s i in
+  let j = deadline_end s i in
+  if j = i then (None, i)
+  else begin
     let ms = int_field s (i + 1) j in
     if ms < 0 then reject (Bad_deadline (String.sub s i (j - i)));
     (Some ms, skip_blanks s j)
   end
-  else (None, i)
 
 let query s i =
   let deadline_ms, i = deadline s i in
   if i = String.length s then
     reject (Bad_request "query needs at least one spec");
-  let specs, j = set_specs ~batch:false s i 0 [] in
+  let specs, j = set_specs ~batch:false s i [| 0; 0; 0 |] 0 [] in
   if j < String.length s then reject one_set;
   Query { deadline_ms; specs }
 
@@ -377,8 +450,9 @@ let batch s i =
   let deadline_ms, i = deadline s i in
   if i = String.length s then
     reject (Bad_request "batch needs at least one set");
+  let out = [| 0; 0; 0 |] in
   let rec sets acc i =
-    match set_specs ~batch:true s i 0 [] with
+    match set_specs ~batch:true s i out 0 [] with
     | [], _ -> reject empty_set
     | specs, j ->
       if j = String.length s then List.rev (specs :: acc)
@@ -408,6 +482,48 @@ let parse_request s =
   | req -> Ok req
   | exception Reject e -> Error e
 
+(* ---- the key path ---- *)
+
+let max_key_specs = 64
+
+type key_reader = { prefix : string; records : int array }
+
+let key_reader ~prefix =
+  { prefix; records = Array.make (3 * max_key_specs) 0 }
+
+type keyed = { deadline_ms : int option; key : string }
+
+(* The count of specs from [i] to the end of [s], each scanned into
+   [r.records]; -1 at a [;], at a token that is no spec, or past
+   [max_key_specs]. *)
+let rec key_specs r s i n =
+  let i = skip_blanks s i in
+  if i = String.length s then n
+  else if n = max_key_specs || String.unsafe_get s i = ';' then -1
+  else
+    let j = scan_spec ~in_request:true s i r.records (3 * n) in
+    if r.records.(3 * n) < 0 then -1 else key_specs r s j (n + 1)
+
+(* [query [@<ms>] SPEC+], read with the helpers and the spec scan that
+   [parse_request] uses. Anything else, or any error, is [None]: the
+   caller then parses the payload, which answers it. *)
+let query_key r s =
+  let i = skip_blanks s 0 in
+  let j = word_end s i in
+  if not (token_is s i j "query") then None
+  else
+    let i = skip_blanks s j in
+    let j = deadline_end s i in
+    let ms = if j = i then 0 else int_field s (i + 1) j in
+    let n = if ms < 0 then -1 else key_specs r s j 0 in
+    if n <= 0 then None
+    else
+      Some
+        {
+          deadline_ms = (if j = i then None else Some ms);
+          key = Taskset.key_of_us ~prefix:r.prefix r.records n;
+        }
+
 (* ---- replies ---- *)
 
 type verdict = Admitted of float | Rejected of string
@@ -428,6 +544,40 @@ type reply =
 let render_verdict = function
   | Admitted headroom -> Printf.sprintf "admitted %.6f" headroom
   | Rejected reason -> "rejected " ^ reason
+
+module Verdict_lines = struct
+  let slots = 1024
+
+  (* Slot [i] holds the line of the headroom whose bits are at
+     [bits.(8i)], or [""] while empty. A rendered line is never empty,
+     so no headroom, NaN included, can match an empty slot. *)
+  type t = { bits : Bytes.t; lines : string array }
+
+  let create () =
+    { bits = Bytes.make (8 * slots) '\000'; lines = Array.make slots "" }
+
+  (* The top bits of a multiplicative hash: 1024 slots, 10 bits. *)
+  let slot bits = (Int64.to_int bits * 0x2545F4914F6CDD1D) lsr 53
+
+  let admitted t headroom =
+    let bits = Int64.bits_of_float headroom in
+    let i = slot bits in
+    let line = t.lines.(i) in
+    if
+      String.length line > 0
+      && Int64.equal (Bytes.get_int64_le t.bits (8 * i)) bits
+    then line
+    else begin
+      let line = render_verdict (Admitted headroom) in
+      Bytes.set_int64_le t.bits (8 * i) bits;
+      t.lines.(i) <- line;
+      line
+    end
+
+  let render t = function
+    | Admitted headroom -> admitted t headroom
+    | Rejected _ as v -> render_verdict v
+end
 
 let render_reply = function
   | Verdicts vs -> String.concat "\n" (List.map render_verdict vs)

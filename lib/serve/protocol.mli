@@ -69,6 +69,15 @@ val describe_error : error -> string
 val frame : string -> string
 (** [frame payload] is the wire form [hrt1 <len>\n<payload>]. *)
 
+val framed_length : string -> int
+(** [String.length (frame payload)], without building the frame. *)
+
+val blit_frame : string -> bytes -> int -> int
+(** [blit_frame payload b off] writes [frame payload] into [b] at
+    [off], which must leave room for {!framed_length} bytes, and
+    returns the offset after it: how a writer appends a frame to its
+    own output buffer with no intermediate string. *)
+
 (** Incremental frame decoder: feed raw bytes as they arrive, pull
     complete payloads out. Errors are sticky — a stream that has lost
     framing cannot be resynchronized and the connection should be closed
@@ -121,6 +130,29 @@ val parse_request : string -> (request, error) result
     [batch]; then the first bad spec, its index counted from 0 within
     its set. *)
 
+(** {2 The key path}
+
+    A warm query is answered from its payload bytes: {!query_key} reads
+    [query [@<ms>] SPEC+] with the spec reader {!parse_request} uses,
+    straight into the {!Hrt_analysis.Service} cache key, with no
+    [Constraints.t], task set or list. *)
+
+type key_reader
+(** The view's key prefix and a fixed scratch of 64 task records. *)
+
+val key_reader : prefix:string -> key_reader
+(** A reader for keys under the view whose
+    {!Hrt_analysis.Taskset.key_prefix} is [prefix]. *)
+
+type keyed = { deadline_ms : int option; key : string }
+
+val query_key : key_reader -> string -> keyed option
+(** [Some] exactly when the payload is a [query] that {!parse_request}
+    accepts, with at most 64 specs: its [@<ms>] deadline and the
+    {!Hrt_analysis.Taskset.fingerprint} of its specs under the reader's
+    view. [None] for anything else — other verbs, errors, more specs —
+    which {!parse_request} then answers. *)
+
 (* ---- replies ---- *)
 
 type verdict = Admitted of float | Rejected of string
@@ -142,6 +174,21 @@ type reply =
   | Error_reply of { code : string; detail : string }
 
 val render_reply : reply -> string
+
+(** Each distinct verdict line rendered once. *)
+module Verdict_lines : sig
+  type t
+  (** A fixed table of 1,024 admitted lines, slotted by the bits of
+      their headroom; a line whose slot holds another headroom is
+      rendered and replaces it. *)
+
+  val create : unit -> t
+
+  val render : t -> verdict -> string
+  (** [render_reply (Verdicts [v])], the same bytes for every
+      headroom, NaN, infinities, signed zeros and subnormals
+      included. *)
+end
 val parse_reply : string -> (reply, string) result
 (** Total inverses on well-formed payloads:
     [parse_reply (render_reply r) = Ok r] up to float formatting. *)

@@ -33,7 +33,8 @@ type slot = { mutable reply : string option }
 type conn = {
   fd : Unix.file_descr;
   dec : Protocol.Decoder.t;
-  out : Buffer.t;
+  mutable out : Bytes.t;  (* reply frames, written from [out_pos] on *)
+  mutable out_len : int;  (* bytes of [out] filled *)
   mutable out_pos : int;  (* bytes of [out] already written *)
   slots : slot Queue.t;
   mutable reading : bool;  (* false after EOF or a fatal framing error *)
@@ -41,9 +42,14 @@ type conn = {
   mutable open_ : bool;
 }
 
+(* What a queued request asks: the task sets of a parsed request, or
+   the cache key of a query read straight from its payload, with the
+   payload kept for the parse a miss needs. *)
+type ask = Sets of Taskset.t list | Key of { key : string; payload : string }
+
 type work = {
   slot : slot;
-  sets : Taskset.t list;
+  ask : ask;
   arrival_ns : int64;
   deadline_ns : int64 option;  (* absolute, monotonic *)
   verb : string;
@@ -55,6 +61,8 @@ type t = {
   listeners : Unix.file_descr list;
   bound_tcp : int option;
   svc : Service.t;
+  reader : Protocol.key_reader;  (* keys under [cfg]'s view *)
+  lines : Protocol.Verdict_lines.t;
   sink : Hrt_obs.Sink.t;
   trace : out_channel option;  (* the open [--trace-out] array *)
   started_ns : int64;
@@ -86,10 +94,9 @@ let max_conns = 1000
    long-lived daemon neither grows nor re-sorts its whole history. *)
 let latency_window = 65_536
 
-let taskset_of t specs =
-  if t.cfg.raw then Taskset.raw_view ~policy:t.cfg.policy specs
-  else
-    Taskset.production_view ~policy:t.cfg.policy ~platform:t.cfg.platform specs
+let taskset_of cfg specs =
+  if cfg.raw then Taskset.raw_view ~policy:cfg.policy specs
+  else Taskset.production_view ~policy:cfg.policy ~platform:cfg.platform specs
 
 let listen_unix path =
   if Sys.file_exists path then Sys.remove path;
@@ -122,6 +129,9 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
       listeners = ufd :: (match tcp with Some (fd, _) -> [ fd ] | None -> []);
       bound_tcp = Option.map snd tcp;
       svc = Service.create ();
+      reader =
+        Protocol.key_reader ~prefix:(Taskset.key_prefix (taskset_of cfg []));
+      lines = Protocol.Verdict_lines.create ();
       sink;
       trace =
         Option.map
@@ -235,10 +245,24 @@ let deadline_after arrival_ns ms =
     Int64.max_int
   else Int64.add arrival_ns (Int64.mul ms 1_000_000L)
 
-let verdict_lines vs =
-  Protocol.render_reply (Protocol.Verdicts vs)
+let verdict_lines t = function
+  | [ v ] -> Protocol.Verdict_lines.render t.lines v
+  | vs ->
+    String.concat "\n" (List.map (Protocol.Verdict_lines.render t.lines) vs)
 
+let set_count = function Sets sets -> List.length sets | Key _ -> 1
+
+(* A query read straight to its key takes the key path; everything else
+   ([batch], [stats], [drain], errors, and queries the key reader gives
+   up on) is parsed. *)
 let rec handle_request t conn payload =
+  match Protocol.query_key t.reader payload with
+  | Some { Protocol.deadline_ms; key } ->
+    t.requests <- t.requests + 1;
+    enqueue t conn ~verb:"query" ~deadline_ms (Key { key; payload })
+  | None -> parse_request t conn payload
+
+and parse_request t conn payload =
   match Protocol.parse_request payload with
   | Error e ->
     t.proto_errors <- t.proto_errors + 1;
@@ -257,21 +281,24 @@ let rec handle_request t conn payload =
         (Protocol.render_reply
            (Protocol.Draining { pending = Queue.length t.queue }))
     | Protocol.Query { deadline_ms; specs } ->
-      enqueue t conn ~verb:"query" ~deadline_ms [ specs ]
+      enqueue t conn ~verb:"query" ~deadline_ms
+        (Sets [ taskset_of t.cfg specs ])
     | Protocol.Batch { deadline_ms; sets } ->
-      enqueue t conn ~verb:"batch" ~deadline_ms sets)
+      enqueue t conn ~verb:"batch" ~deadline_ms
+        (Sets (List.map (taskset_of t.cfg) sets)))
 
-and enqueue t conn ~verb ~deadline_ms sets =
+and enqueue t conn ~verb ~deadline_ms ask =
   let slot = new_slot t conn in
   let arrival_ns = Clock.now_ns () in
-  let nsets = List.length sets in
   if Atomic.get t.drain || Queue.length t.queue >= t.cfg.max_queue then begin
     (* Admission-themed backpressure: past capacity (or draining) the
        server rejects the request outright — a typed, immediate
        [overloaded] verdict per set instead of unbounded queueing. *)
+    let nsets = set_count ask in
     t.shed <- t.shed + nsets;
     note_span t ~verb ~arrival_ns ~sets:nsets ~outcome:"shed";
-    fill t slot (verdict_lines (List.map (fun _ -> Protocol.overloaded) sets))
+    fill t slot
+      (verdict_lines t (List.init nsets (fun _ -> Protocol.overloaded)))
   end
   else begin
     let deadline_ms =
@@ -280,15 +307,39 @@ and enqueue t conn ~verb ~deadline_ms sets =
       | None -> t.cfg.default_deadline_ms
     in
     let deadline_ns = Option.map (deadline_after arrival_ns) deadline_ms in
-    let sets = List.map (taskset_of t) sets in
-    Queue.push { slot; sets; arrival_ns; deadline_ns; verb } t.queue
+    Queue.push { slot; ask; arrival_ns; deadline_ns; verb } t.queue
   end
+
+(* The task set of a keyed query whose key is not resident. [query_key]
+   answers only payloads that [parse_request] reads as a query (the
+   differential property in test_serve holds it to that), so the other
+   cases cannot occur; were one to, the request would get an empty
+   reply instead of ending the daemon. *)
+let key_miss_sets t payload =
+  match Protocol.parse_request payload with
+  | Ok (Protocol.Query { specs; _ }) -> [ taskset_of t.cfg specs ]
+  | Ok (Protocol.Batch _ | Protocol.Stats | Protocol.Drain) | Error _ -> []
+
+let answer t w results =
+  let n = List.length results in
+  t.served <- t.served + n;
+  note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n ~outcome:"served";
+  fill t w.slot
+    (verdict_lines t
+       (List.map
+          (fun r -> Protocol.verdict_of_oracle r.Hrt_analysis.Oracle.verdict)
+          results))
 
 (* One dispatch batch: pop up to [max_batch] requests, answer the ones
    whose deadline already passed, send the rest through the memoized
    service on this domain (hits and misses alike: a fan-out across
    domains costs more than it saves at any batch size), and fill the
-   reply slots. *)
+   reply slots. Keyed requests look their key up first, before
+   [Service.batch] inserts anything, just as the batch scans every set
+   before its first insert; a key that is not resident is parsed and
+   joins the batch, which counts its miss. Hits, misses, evictions and
+   the resident keys are therefore those of one [Service.batch] over
+   every live request's sets, in request order. *)
 let dispatch t =
   if not (Queue.is_empty t.queue) then begin
     let batch = ref [] and n = ref 0 in
@@ -308,41 +359,50 @@ let dispatch t =
     in
     List.iter
       (fun w ->
-        let n = List.length w.sets in
+        let n = set_count w.ask in
         t.expired <- t.expired + n;
         note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n
           ~outcome:"expired";
         fill t w.slot
-          (verdict_lines (List.map (fun _ -> Protocol.expired) w.sets)))
+          (verdict_lines t (List.init n (fun _ -> Protocol.expired))))
       dead;
-    if live <> [] then begin
-      let all_sets = List.concat_map (fun w -> w.sets) live in
-      let results = Service.batch t.svc all_sets in
-      let rec split results = function
-        | [] -> ()
-        | w :: rest ->
-          let n = List.length w.sets in
-          let rec take k acc rs =
-            if k = 0 then (List.rev acc, rs)
-            else
-              match rs with
-              | r :: rs -> take (k - 1) (r :: acc) rs
-              | [] -> (List.rev acc, [])
-          in
-          let mine, results = take n [] results in
-          t.served <- t.served + n;
-          note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n
-            ~outcome:"served";
-          fill t w.slot
-            (verdict_lines
-               (List.map
-                  (fun r ->
-                    Protocol.verdict_of_oracle r.Hrt_analysis.Oracle.verdict)
-                  mine));
-          split results rest
-      in
-      split results live
-    end
+    let found =
+      List.map
+        (fun w ->
+          match w.ask with
+          | Sets sets -> Either.Right sets
+          | Key { key; payload } -> (
+            match Service.find t.svc key with
+            | Some r -> Either.Left r
+            | None -> Either.Right (key_miss_sets t payload)))
+        live
+    in
+    let results =
+      match
+        List.concat_map (Either.fold ~left:(fun _ -> []) ~right:Fun.id) found
+      with
+      | [] -> []
+      | sets -> Service.batch t.svc sets
+    in
+    let rec take k acc rs =
+      if k = 0 then (List.rev acc, rs)
+      else
+        match rs with
+        | r :: rs -> take (k - 1) (r :: acc) rs
+        | [] -> (List.rev acc, [])
+    in
+    let rec split results ws found =
+      match (ws, found) with
+      | w :: ws, Either.Left r :: found ->
+        answer t w [ r ];
+        split results ws found
+      | w :: ws, Either.Right sets :: found ->
+        let mine, results = take (List.length sets) [] results in
+        answer t w mine;
+        split results ws found
+      | _ -> ()
+    in
+    split results live found
   end
 
 (* ---- I/O ---- *)
@@ -354,28 +414,44 @@ let close_conn t conn =
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   end
 
+(* Append a reply frame to [out], first moving the unwritten bytes to
+   the front, and growing it only when they and the frame do not fit. *)
+let add_frame conn payload =
+  let n = Protocol.framed_length payload in
+  if conn.out_len + n > Bytes.length conn.out then begin
+    let live = conn.out_len - conn.out_pos in
+    let out =
+      if live + n > Bytes.length conn.out then Bytes.create (2 * (live + n))
+      else conn.out
+    in
+    Bytes.blit conn.out conn.out_pos out 0 live;
+    conn.out <- out;
+    conn.out_len <- live;
+    conn.out_pos <- 0
+  end;
+  conn.out_len <- Protocol.blit_frame payload conn.out conn.out_len
+
 (* Move answered slots (in request order) into the outgoing buffer, then
-   push as much of it as the socket accepts. *)
+   push as much of it as the socket accepts, straight from the buffer. *)
 let flush_conn t conn =
   let rec promote () =
     match Queue.peek_opt conn.slots with
     | Some { reply = Some payload } ->
       ignore (Queue.pop conn.slots);
-      Buffer.add_string conn.out (Protocol.frame payload);
+      add_frame conn payload;
       t.replies <- t.replies + 1;
       promote ()
     | Some { reply = None } | None -> ()
   in
   promote ();
-  let pending = Buffer.length conn.out - conn.out_pos in
+  let pending = conn.out_len - conn.out_pos in
   if pending > 0 then begin
-    let payload = Buffer.to_bytes conn.out in
-    match Unix.write conn.fd payload conn.out_pos pending with
+    match Unix.write conn.fd conn.out conn.out_pos pending with
     | n ->
       conn.out_pos <- conn.out_pos + n;
-      if conn.out_pos = Buffer.length conn.out then begin
-        Buffer.clear conn.out;
-        conn.out_pos <- 0
+      if conn.out_pos = conn.out_len then begin
+        conn.out_pos <- 0;
+        conn.out_len <- 0
       end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) ->
@@ -384,8 +460,7 @@ let flush_conn t conn =
       close_conn t conn
   end
 
-let conn_flushed conn =
-  Queue.is_empty conn.slots && Buffer.length conn.out = conn.out_pos
+let conn_flushed conn = Queue.is_empty conn.slots && conn.out_len = conn.out_pos
 
 let scratch = 8192
 
@@ -454,7 +529,8 @@ let accept_ready t fd =
         {
           fd = cfd;
           dec = Protocol.Decoder.create ~max_frame:t.cfg.max_frame ();
-          out = Buffer.create 256;
+          out = Bytes.create 256;
+          out_len = 0;
           out_pos = 0;
           slots = Queue.create ();
           reading = true;
@@ -512,7 +588,7 @@ let run ?(install_sigterm = false) t =
     let wfds =
       List.filter_map
         (fun c ->
-          if c.open_ && Buffer.length c.out > c.out_pos then Some c.fd
+          if c.open_ && c.out_len > c.out_pos then Some c.fd
           else None)
         t.conns
     in

@@ -7,6 +7,11 @@
     in batches through [Service.batch], on the serving loop's own domain:
     hits and misses alike. No dispatch spawns a domain; fanning a batch's
     misses across domains lost at every batch size it was measured at.
+    A [query] is first read straight to its cache key
+    ({!Protocol.query_key}); a resident key is answered by
+    [Service.find] with a verdict line rendered once, and everything
+    else joins the batch, so replies and cache counts are those of one
+    [Service.batch] over every request's sets in order.
 
     The server applies admission-themed backpressure to {e itself}
     rather than stalling or dropping connections:

@@ -491,6 +491,217 @@ let prop_parse_matches_reference =
       same_request payload && same_spec payload
       && List.for_all same_spec (Old_parse.tokens_of payload))
 
+(* ---- the key path against the parser ---- *)
+
+module T = Hrt_analysis.Taskset
+
+(* The two views a server keys under, each with its reader. *)
+let key_views =
+  List.map
+    (fun view -> (view, P.key_reader ~prefix:(T.key_prefix (view []))))
+    [
+      T.production_view ~policy:Config.Edf ~platform:Hrt_hw.Platform.phi;
+      T.raw_view ~policy:Config.Rm;
+    ]
+
+(* Whenever the key reader answers, the payload parses as a query with
+   the same deadline, and the key is the fingerprint of its specs under
+   the reader's view; whenever the parser reads anything else or fails,
+   the reader does not answer; and it gives up on a query only past 64
+   specs. *)
+let key_matches_parser payload =
+  List.for_all
+    (fun (view, reader) ->
+      match (P.query_key reader payload, P.parse_request payload) with
+      | Some { P.deadline_ms; key }, Ok (P.Query q) ->
+        deadline_ms = q.deadline_ms
+        && String.equal key (T.fingerprint (view q.specs))
+      | None, Ok (P.Query q) -> List.length q.specs > 64
+      | Some _, (Ok (P.Batch _ | P.Stats | P.Drain) | Error _) -> false
+      | None, (Ok (P.Batch _ | P.Stats | P.Drain) | Error _) -> true)
+    key_views
+
+(* A query from the grammar: an optional deadline token, then one to
+   eight spec tokens in every spelling [gen_spec] makes, good or bad. *)
+let gen_query =
+  QCheck.Gen.(
+    let* deadline = gen_deadline in
+    let* specs = list_size (int_range 1 8) gen_spec in
+    let* blank = oneofl [ " "; "  "; "\t" ] in
+    return
+      (String.concat blank
+         (("query" :: (if deadline = "" then [] else [ deadline ])) @ specs)))
+
+let prop_key_matches_parser =
+  QCheck.Test.make ~name:"key reader matches the parser" ~count:4000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [
+             (3, gen_query);
+             (2, gen_payload);
+             (2, oneof [ gen_query; gen_payload ] >>= mutate);
+             (1, string_size ~gen:printable (int_bound 60));
+             (1, string_size ~gen:char (int_bound 40));
+           ]))
+    key_matches_parser
+
+(* One task set spelled two ways: shuffled, spec letters in either
+   case, each field in plain decimal or with leading zeros, [0x], [_]
+   or [+], and sometimes a spec repeated. Both spellings read to one
+   key, the fingerprint of the set itself. *)
+let gen_spelled_pair =
+  QCheck.Gen.(
+    let value =
+      frequency
+        [
+          (6, int_range 1 2000);
+          (1, return P.max_spec_us);
+          (1, int_range 1 P.max_spec_us);
+        ]
+    in
+    let task =
+      frequency
+        [
+          (5, map2 (fun a b -> ('P', a, b)) value value);
+          (2, map2 (fun a b -> ('S', a, b)) value value);
+          (1, return ('A', 0, 0));
+        ]
+    in
+    let spell_field v =
+      let d = string_of_int v in
+      oneofl
+        [
+          d;
+          "00" ^ d;
+          Printf.sprintf "0x%X" v;
+          "+" ^ d;
+          (if String.length d > 1 then
+             String.sub d 0 1 ^ "_" ^ String.sub d 1 (String.length d - 1)
+           else d);
+        ]
+    in
+    let spell (letter, a, b) =
+      let* lower = bool in
+      let letter = if lower then Char.lowercase_ascii letter else letter in
+      if letter = 'A' || letter = 'a' then return (String.make 1 letter)
+      else
+        let* a = spell_field a in
+        let* b = spell_field b in
+        return (Printf.sprintf "%c:%s:%s" letter a b)
+    in
+    let spell_set tasks =
+      let* tasks = shuffle_l tasks in
+      let* tokens = flatten_l (List.map spell tasks) in
+      return ("query " ^ String.concat " " tokens)
+    in
+    let* tasks = list_size (int_range 1 8) task in
+    let* repeat = bool in
+    let tasks = if repeat then List.hd tasks :: tasks else tasks in
+    let* one = spell_set tasks in
+    let* other = spell_set tasks in
+    return (tasks, one, other))
+
+let prop_key_spellings_agree =
+  QCheck.Test.make ~name:"key reader: respellings share one key" ~count:1000
+    (QCheck.make
+       ~print:(fun (_, a, b) -> Printf.sprintf "%S / %S" a b)
+       gen_spelled_pair)
+    (fun (tasks, one, other) ->
+      let specs =
+        List.map
+          (fun (letter, a, b) ->
+            match letter with
+            | 'P' ->
+              Constraints.periodic ~period:(Hrt_engine.Time.us a)
+                ~slice:(Hrt_engine.Time.us b) ()
+            | 'S' ->
+              Constraints.sporadic ~size:(Hrt_engine.Time.us a)
+                ~deadline:(Hrt_engine.Time.us b) ()
+            | _ -> Constraints.aperiodic ())
+          tasks
+      in
+      key_matches_parser one && key_matches_parser other
+      && List.for_all
+           (fun (view, reader) ->
+             match (P.query_key reader one, P.query_key reader other) with
+             | Some a, Some b ->
+               String.equal a.P.key b.P.key
+               && String.equal a.P.key (T.fingerprint (view specs))
+             | _ -> false)
+           key_views)
+
+let test_key_reader_cases () =
+  let max = string_of_int P.max_spec_us in
+  let past = string_of_int (P.max_spec_us + 1) in
+  let many k = "query" ^ String.concat "" (List.init k (fun _ -> " A")) in
+  let answered =
+    [
+      "query P:1000:300 P:500:100";
+      "query P:500:100 P:1000:300";
+      "query p:0x3E8:300 P:0500:100";
+      "query @1000 P:1000:300 P:500:100";
+      "  query\tP:+1000:300  P:5_00:100 ";
+      "query S:50:400 A a s:50:400 P:1:1";
+      "query P:7:3 P:7:3 P:7:3";
+      "query @0 A";
+      Printf.sprintf "query P:%s:%s S:%s:%s" max max max max;
+      many 64;
+    ]
+  in
+  let refused =
+    [
+      Printf.sprintf "query P:%s:1" past;
+      Printf.sprintf "query S:1:%s" past;
+      "query";
+      "query @5";
+      "query ;";
+      "query P:1:2;";
+      "query P:1:2 ; P:3:4";
+      "query P:0:1";
+      "query P:1:2 @5";
+      "query @x P:1:2";
+      "query @-1 P:1:2";
+      "QUERY P:1:2";
+      "query;P:1:2";
+      "query X:1:2";
+      "query P:1:2:3";
+      "batch P:1:2";
+      "stats";
+      "drain";
+      "";
+      many 65;
+    ]
+  in
+  List.iter
+    (fun (_, reader) ->
+      List.iter
+        (fun payload ->
+          Alcotest.(check bool) ("answers " ^ payload) true
+            (P.query_key reader payload <> None))
+        answered;
+      List.iter
+        (fun payload ->
+          Alcotest.(check bool) ("gives up on " ^ payload) true
+            (P.query_key reader payload = None))
+        refused)
+    key_views;
+  List.iter
+    (fun payload ->
+      Alcotest.(check bool) ("matches the parser: " ^ payload) true
+        (key_matches_parser payload))
+    (answered @ refused);
+  (* The first four spell one set. *)
+  List.iter
+    (fun (_, reader) ->
+      let key p = (Option.get (P.query_key reader p)).P.key in
+      List.iter
+        (fun p ->
+          Alcotest.(check string) ("one key: " ^ p)
+            (key (List.hd answered)) (key p))
+        (List.filteri (fun i _ -> i < 4) answered))
+    key_views
+
 (* ---- reply round-trips ---- *)
 
 let test_reply_roundtrip () =
@@ -511,6 +722,87 @@ let test_reply_roundtrip () =
           true (r = r')
       | Error msg -> Alcotest.failf "reply did not re-parse: %s" msg)
     replies
+
+(* ---- framing and verdict lines against Printf ---- *)
+
+(* The hand-written frame header writes what [Printf] did, around every
+   change in the digit count and at random lengths, whole and at an
+   offset into a larger buffer. *)
+let test_frame_matches_printf () =
+  let rng = Hrt_engine.Rng.create 5L in
+  let lengths =
+    [ 0; 1; 9; 10; 99; 100; 999; 1000; 65_535; 65_536 ]
+    @ List.init 50 (fun _ -> Hrt_engine.Rng.int rng 200_000)
+  in
+  List.iter
+    (fun len ->
+      let payload = String.init len (fun i -> Char.chr (32 + (i mod 90))) in
+      let want = Printf.sprintf "%s %d\n%s" "hrt1" len payload in
+      let name = Printf.sprintf "length %d" len in
+      Alcotest.(check string) name want (P.frame payload);
+      Alcotest.(check int) (name ^ ": framed_length") (String.length want)
+        (P.framed_length payload);
+      let b = Bytes.make (String.length want + 7) '#' in
+      Alcotest.(check int) (name ^ ": blit end")
+        (3 + String.length want)
+        (P.blit_frame payload b 3);
+      Alcotest.(check string) (name ^ ": blit")
+        ("###" ^ want ^ "####")
+        (Bytes.to_string b))
+    lengths
+
+let printf_line h = Printf.sprintf "admitted %.6f" h
+
+let test_verdict_lines_match_printf () =
+  let specials =
+    [
+      nan;
+      -.nan;
+      Int64.float_of_bits 0x7FF0000000000001L;
+      0.;
+      -0.;
+      infinity;
+      neg_infinity;
+      Float.min_float;
+      Float.min_float /. 2.;
+      Int64.float_of_bits 1L;
+      Float.max_float;
+      0.0078125;
+      0.0000005;
+      0.0000015;
+      1e-7;
+      0.25;
+      -0.9999995;
+    ]
+  in
+  (* A fresh table's empty slots must not answer any headroom, the
+     all-zero bits of 0.0 and every NaN included. *)
+  List.iter
+    (fun h ->
+      let t = P.Verdict_lines.create () in
+      Alcotest.(check string) (printf_line h ^ " on a fresh table")
+        (printf_line h)
+        (P.Verdict_lines.render t (P.Admitted h)))
+    specials;
+  (* More distinct values than the table has slots, twice through one
+     table: some share a slot and replace each other, and every answer
+     is still the Printf line of its own headroom. *)
+  let rng = Hrt_engine.Rng.create 9L in
+  let random =
+    List.init 3000 (fun i ->
+        match i mod 3 with
+        | 0 -> Hrt_engine.Rng.float rng
+        | 1 -> Int64.float_of_bits (Hrt_engine.Rng.next rng)
+        | _ -> float_of_int (Hrt_engine.Rng.int rng 2_000_000) /. 1e6)
+  in
+  let t = P.Verdict_lines.create () in
+  List.iter
+    (fun h ->
+      Alcotest.(check string) (printf_line h) (printf_line h)
+        (P.Verdict_lines.render t (P.Admitted h)))
+    (specials @ random @ List.rev random @ specials);
+  Alcotest.(check string) "rejected" "rejected hyperperiod-demand"
+    (P.Verdict_lines.render t (P.Rejected "hyperperiod-demand"))
 
 (* ---- live server ---- *)
 
@@ -808,6 +1100,142 @@ let test_send_and_close_clients () =
       Alcotest.(check (float 0.)) "closed clients' queries served"
         (float_of_int clients) (served 200))
 
+(* One request at a time over a raw connection: the reply payload's
+   bytes as the server sent them. *)
+let raw_exchange fd dec payload =
+  let frame = P.frame payload in
+  let rec write off =
+    if off < String.length frame then
+      write
+        (off + Unix.write_substring fd frame off (String.length frame - off))
+  in
+  write 0;
+  let buf = Bytes.create 4096 in
+  let rec read () =
+    match P.Decoder.next dec with
+    | `Frame reply -> reply
+    | `Error e -> Alcotest.failf "reply unframed: %s" (P.describe_error e)
+    | `Await -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.fail "the server closed the connection"
+      | n ->
+        P.Decoder.feed dec buf 0 n;
+        read ())
+  in
+  read ()
+
+(* Requests one at a time to a live server: more distinct sets than the
+   cache holds (8 shards of 1,024), so FIFO evictions run, mixed with
+   repeats, permutations, respellings, [@ms] tokens, batch frames and
+   malformed requests. Every reply is the in-process answer byte for
+   byte, and the final hits, misses, evictions and entries are those of
+   a fresh service that sees each request as one [Service.batch]. *)
+let test_counter_parity () =
+  let module S = Hrt_analysis.Service in
+  let module O = Hrt_analysis.Oracle in
+  let view =
+    T.production_view ~policy:Config.Edf ~platform:Hrt_hw.Platform.phi
+  in
+  let rng = Hrt_engine.Rng.create 77L in
+  let pick n = Hrt_engine.Rng.int rng n in
+  (* Set [i] holds two periodic tasks; the first one's period makes it
+     distinct from every other set. *)
+  let set i =
+    [ (1000 + i, 1 + (i mod 300)); (2000 + (100 * (i mod 13)), 50 + (i mod 7)) ]
+  in
+  let spell (period, slice) =
+    match pick 4 with
+    | 0 -> Printf.sprintf "P:%d:%d" period slice
+    | 1 -> Printf.sprintf "p:0x%X:%d" period slice
+    | 2 -> Printf.sprintf "P:00%d:+%d" period slice
+    | _ -> Printf.sprintf "p:%d:%d" period slice
+  in
+  let spell_set tasks =
+    String.concat " "
+      (List.map spell (if pick 2 = 0 then tasks else List.rev tasks))
+  in
+  let distinct = 9_000 and fresh = ref 0 in
+  let next_set () =
+    if !fresh < distinct && (!fresh < 10 || pick 4 > 0) then begin
+      incr fresh;
+      set (!fresh - 1)
+    end
+    else set (pick !fresh)
+  in
+  let payloads =
+    List.init 13_000 (fun _ ->
+        match pick 40 with
+        | 0 ->
+          let a = spell_set (next_set ()) in
+          "batch " ^ a ^ " ; " ^ spell_set (next_set ())
+        | 1 ->
+          List.nth [ "query P:0:1"; "frobnicate"; "query P:1:2 ; A" ] (pick 3)
+        | 2 -> "query @60000 " ^ spell_set (next_set ())
+        | _ -> "query " ^ spell_set (next_set ()))
+  in
+  Alcotest.(check bool) "more distinct sets than the cache holds" true
+    (!fresh > 8 * 1024);
+  let verdict specs =
+    P.verdict_of_oracle (O.analyze (view specs)).O.verdict
+  in
+  let expected payload =
+    match P.parse_request payload with
+    | Ok (P.Query { specs; _ }) -> P.render_reply (P.Verdicts [ verdict specs ])
+    | Ok (P.Batch { sets; _ }) ->
+      P.render_reply (P.Verdicts (List.map verdict sets))
+    | Ok (P.Stats | P.Drain) -> Alcotest.fail "no stats or drain is sent"
+    | Error e -> P.render_reply (P.error_reply e)
+  in
+  let replay = S.create () in
+  List.iter
+    (fun payload ->
+      match P.parse_request payload with
+      | Ok (P.Query { specs; _ }) -> ignore (S.batch replay [ view specs ])
+      | Ok (P.Batch { sets; _ }) -> ignore (S.batch replay (List.map view sets))
+      | Ok (P.Stats | P.Drain) | Error _ -> ())
+    payloads;
+  let want = S.stats replay in
+  Alcotest.(check bool) "the replay evicts" true (want.S.evictions > 0);
+  with_server (fun addr _ ->
+      let path =
+        match addr with
+        | Client.Unix_path path -> path
+        | Client.Tcp _ -> Alcotest.fail "expected a Unix socket"
+      in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+          let dec = P.Decoder.create () in
+          let wrong =
+            List.filter
+              (fun payload ->
+                not
+                  (String.equal (raw_exchange fd dec payload)
+                     (expected payload)))
+              payloads
+          in
+          (match wrong with
+          | [] -> ()
+          | payload :: _ ->
+            Alcotest.failf "%d replies differ, first for %S" (List.length wrong)
+              payload);
+          match P.parse_reply (raw_exchange fd dec "stats") with
+          | Ok (P.Stats_reply kvs) ->
+            let stat k =
+              match List.assoc_opt k kvs with
+              | Some v -> int_of_float v
+              | None -> Alcotest.failf "stats lacks %s" k
+            in
+            Alcotest.(check int) "hits" want.S.hits (stat "hits");
+            Alcotest.(check int) "misses" want.S.misses (stat "misses");
+            Alcotest.(check int) "evictions" want.S.evictions
+              (stat "evictions");
+            Alcotest.(check int) "entries" want.S.entries (stat "entries")
+          | _ -> Alcotest.fail "stats did not answer"))
+
 (* Drain under load: pipeline a burst, drain mid-flight, and every
    accepted request still gets exactly one reply (served, or shed with
    the stable overloaded verdict) before the server closes. *)
@@ -880,7 +1308,13 @@ let suite =
     to_alcotest prop_parse_total;
     to_alcotest prop_parse_matches_reference;
     to_alcotest prop_grammar_extremes_analyze;
+    to_alcotest prop_key_matches_parser;
+    to_alcotest prop_key_spellings_agree;
+    Alcotest.test_case "key reader cases" `Quick test_key_reader_cases;
     Alcotest.test_case "reply round-trip" `Quick test_reply_roundtrip;
+    Alcotest.test_case "frame matches Printf" `Quick test_frame_matches_printf;
+    Alcotest.test_case "verdict lines match Printf" `Quick
+      test_verdict_lines_match_printf;
     Alcotest.test_case "query matches oracle" `Quick test_query_matches_oracle;
     Alcotest.test_case "batch verdicts in order" `Quick
       test_batch_verdicts_in_order;
@@ -905,4 +1339,6 @@ let suite =
       test_dispatch_spawns_no_domain;
     Alcotest.test_case "trace-out streams one span per request" `Quick
       test_trace_streams_spans;
+    Alcotest.test_case "live replies and counters match a replay" `Quick
+      test_counter_parity;
   ]
