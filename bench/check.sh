@@ -3,10 +3,10 @@
 # the observability layer costs nothing when disabled
 # (bench/overhead_check.ml), then smoke the admission CLI, run --csv,
 # run's argument checks and the serving daemon, send the daemon one set
-# in four spellings, flood it with idle connections and with clients
-# that close before their reply. The
-# performance gate is bench/gate.py over hrtbench runs (CI's hrtbench
-# job).
+# in four spellings, check that it refuses --max-batch 0, and flood it
+# with idle connections and with clients that close before their reply.
+# The performance gate is bench/gate.py over hrtbench runs (CI's
+# hrtbench job).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -135,6 +135,24 @@ if [ "$status" -ne 0 ] ||
   echo "check.sh: serve did not boot, answer a query and drain" >&2
   exit 1
 fi
+
+echo "== serve refuses a dispatch batch below 1 =="
+# A daemon whose dispatch pops nothing never answers, spins its loop and
+# never finishes a drain, so only SIGKILL (timeout -k) would end it. It
+# is refused before anything is bound: exit 2, a message, no socket.
+tmp=/tmp/hrt-max-batch-$$
+rm -rf "$tmp"
+mkdir -p "$tmp"
+status=0
+timeout -k 2 10 "$hrt_sim" serve --max-batch 0 --socket "$tmp/s" \
+  >"$tmp/out.txt" 2>&1 || status=$?
+cat "$tmp/out.txt"
+if [ "$status" -ne 2 ] || ! grep -q '^serve: --max-batch' "$tmp/out.txt" ||
+  [ -e "$tmp/s" ]; then
+  echo "check.sh: serve --max-batch 0 exited $status or bound its socket" >&2
+  exit 1
+fi
+rm -rf "$tmp"
 
 echo "== warm queries answered from their keys =="
 # A query, its permutation, a respelling of it and the same set with an

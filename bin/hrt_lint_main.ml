@@ -1,7 +1,8 @@
-(* Standalone lint driver: [hrt_lint [--config FILE] [--root DIR]
-   [--verbose] [--summary FILE] [paths...]]. Exits 0 when every finding
-   is waived and all budgets hold, 1 on findings, 2 on usage/config
-   errors. The same engine backs [hrt_sim lint]. *)
+(* The lint's one entry point: [hrt_lint [--config FILE] [--root DIR]
+   [--verbose] [--all-rules] [--summary FILE] [paths...]]. Exits 0 when
+   every finding is waived and all budgets hold, 1 on findings, 2 on
+   usage/config errors. CI, [dune build @lint] and bench/check.sh all
+   run it. *)
 
 let usage = "hrt_lint [--config FILE] [--root DIR] [--verbose] [paths...]"
 

@@ -9,7 +9,6 @@
      missrate [options]       run one period/slice miss-rate point
      verify <trace.json>      replay a recorded trace through the verifier
      faults                   list the named fault-injection plans
-     lint [paths...]          run the source-level invariant checker
      admit query <specs...>   analytical schedulability verdict + certificate
      admit batch <file>       memoized batch analysis of many task sets
      admit cross-validate     oracle vs simulator corpus agreement
@@ -21,7 +20,8 @@
 
    Exit codes: 0 success, 2 verification failure (verify subcommand or
    --selfcheck), anything else is a usage/IO error. The benchmark lives
-   in hrtbench/ (see its README). *)
+   in hrtbench/ (see its README); the source-level lint is the separate
+   hrt_lint binary (bin/hrt_lint_main.ml). *)
 
 open Cmdliner
 open Hrt_engine
@@ -491,98 +491,6 @@ let faults_cmd =
   in
   Cmd.v (Cmd.info "faults" ~doc ~man) Term.(const run $ const ())
 
-(* ---- lint ---- *)
-
-let lint_cmd =
-  let doc = "Run the source-level invariant checker over the tree." in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Parses every $(b,.ml) file under the given paths and checks the \
-         three rule families from DESIGN.md section 10: domain-safety \
-         (module-toplevel mutable state in code reachable from parallel \
-         jobs), determinism (wall-clock, ambient entropy, hash-order and \
-         float polymorphic-compare dependence), and hot-path allocation \
-         (construction and closure captures inside $(b,[@@@hrt.hot]) \
-         regions).";
-      `P
-        "Findings can be waived in-source with \
-         [@hrt.unsynchronized]/[@hrt.nondet]/[@hrt.alloc_ok] attributes \
-         carrying a reason string; the committed $(b,.hrt-lint) file \
-         scopes the families and caps the waiver counts. Exit status is 0 \
-         when clean, 1 on unwaived findings, 2 on usage errors. The \
-         standalone $(b,hrt_lint) binary is the same engine.";
-    ]
-  in
-  let config_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "config" ] ~docv:"FILE"
-          ~doc:"Lint configuration (default: $(i,root)/.hrt-lint).")
-  in
-  let root =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Repository root (default: nearest ancestor with .hrt-lint).")
-  in
-  let verbose =
-    Arg.(value & flag & info [ "verbose" ] ~doc:"Also print waived findings.")
-  in
-  let summary_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "summary" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable summary line to $(docv).")
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATHS"
-          ~doc:"Root-relative files or directories (default: lib bin).")
-  in
-  let run config_file root verbose summary_file paths =
-    let fail msg =
-      Printf.eprintf "hrt_sim lint: %s\n" msg;
-      exit 2
-    in
-    let root =
-      match (root, config_file) with
-      | Some r, _ -> r
-      | None, Some cf -> Filename.dirname cf
-      | None, None -> (
-        match Hrt_lint.Driver.find_root (Sys.getcwd ()) with
-        | Some r -> r
-        | None -> fail "no .hrt-lint found in any ancestor directory; pass --root")
-    in
-    let config_file =
-      match config_file with
-      | Some cf -> cf
-      | None -> Filename.concat root ".hrt-lint"
-    in
-    let config =
-      match Hrt_lint.Config.load config_file with
-      | Ok c -> c
-      | Error m -> fail m
-    in
-    let paths = match paths with [] -> [ "lib"; "bin" ] | ps -> ps in
-    let report = Hrt_lint.Driver.run ~config ~root paths in
-    Hrt_lint.Driver.render ~verbose stdout report;
-    (match summary_file with
-    | Some f ->
-      Out_channel.with_open_text f (fun oc ->
-          output_string oc (Hrt_lint.Driver.summary_line report ^ "\n"))
-    | None -> ());
-    if not (Hrt_lint.Driver.clean report) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc ~man)
-    Term.(const run $ config_file $ root $ verbose $ summary_file $ paths)
-
 (* ---- admit ---- *)
 
 (* Task specs on the admit command line: P:<period_us>:<slice_us> for a
@@ -674,7 +582,7 @@ let admit_batch_cmd =
       `P
         "Reads one task set per line (whitespace-separated SPECs, \
          $(b,#) comments and blank lines skipped) and answers each line \
-         with its verdict. Queries go through the sharded memo cache — \
+         with its verdict. Queries go through the memo cache — \
          permutations of an already-analyzed set are hits — on one \
          domain: fanning the misses across domains costs more than it \
          saves. Cache hit/miss/eviction counters are printed at the end \
@@ -811,10 +719,10 @@ let serve_cmd =
          verdict per set; $(b,stats) reports serving and cache counters \
          and latency percentiles over the latest 65,536 requests; \
          $(b,drain) asks the server to finish and exit. Requests queue in \
-         a bounded FIFO drained in batches through the memoized admission \
-         service, on the serving loop's own domain: hits and misses \
-         alike, since fanning misses across domains costs more than it \
-         saves.";
+         a bounded FIFO and are answered one at a time, in arrival order, \
+         through the memoized admission service on the serving loop's own \
+         domain: hits and misses alike, since fanning misses across \
+         domains costs more than it saves.";
       `P
         "Backpressure is admission-themed: when the queue is full new \
          queries are answered $(b,rejected overloaded) immediately (never \
@@ -876,7 +784,9 @@ let serve_cmd =
     Arg.(
       value & opt int 64
       & info [ "max-batch" ] ~docv:"N"
-          ~doc:"Requests served per dispatch batch.")
+          ~doc:
+            "Requests answered per pass of the serving loop (at least \
+             1).")
   in
   let deadline_ms =
     Arg.(
@@ -885,7 +795,7 @@ let serve_cmd =
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
             "Default per-request service deadline applied to requests \
-             that carry no $(b,@ms) token.")
+             that carry no $(b,@ms) token (not negative).")
   in
   let timeout_ms =
     Arg.(
@@ -926,6 +836,16 @@ let serve_cmd =
       if !failed then exit 1
     end
     else begin
+      let usage msg =
+        Printf.eprintf "serve: %s\n" msg;
+        exit 2
+      in
+      if max_batch < 1 then
+        usage (Printf.sprintf "--max-batch must be at least 1 (got %d)" max_batch);
+      (match deadline_ms with
+      | Some ms when ms < 0 ->
+        usage (Printf.sprintf "--deadline-ms must not be negative (got %d)" ms)
+      | Some _ | None -> ());
       let cfg =
         {
           Hrt_serve.Server.default_config with
@@ -977,7 +897,6 @@ let () =
             missrate_cmd;
             verify_cmd;
             faults_cmd;
-            lint_cmd;
             admit_cmd;
             serve_cmd;
           ]))

@@ -1,15 +1,15 @@
 (** Batched, memoized admission analysis.
 
-    A service front-ends {!Oracle.analyze} with a sharded cache keyed by
+    A service front-ends {!Oracle.analyze} with one cache table keyed by
     {!Taskset.fingerprint} itself, compared with [String.equal]:
     permutations of the same constraint multiset hit the same entry, and
     because the key is the injective encoding (no digest), a hit is
     exact — two sets share an entry only when they agree on every field
-    the analysis reads. The shard is a fixed function of the key's
-    bytes, and each shard evicts its oldest key first.
+    the analysis reads. A full cache evicts its oldest key first (FIFO
+    over all entries).
 
-    A service belongs to one domain at a time: its tables and counters
-    are plain mutable state, with no lock and no atomic. Only
+    A service belongs to one domain at a time: its table, queue and
+    counters are plain mutable state, with no lock and no atomic. Only
     [batch ?pool] reaches other domains, and they run nothing but the
     pure analysis of the batch's distinct misses; the calling domain
     does every lookup, insert and count. *)
@@ -18,10 +18,9 @@ open Hrt_par
 
 type t
 
-val create : ?shards:int -> ?capacity:int -> unit -> t
-(** [shards] (default 8, clamped to [1 .. 64]) splits the cache;
-    [capacity] (default 1024, at least 1) bounds entries {e per shard},
-    evicted FIFO. *)
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default 8,192, at least 1) bounds the total number of
+    entries; past it the oldest entry is evicted. *)
 
 val query : t -> Taskset.t -> Oracle.result
 (** One analysis, served from cache when an equivalent set (same
@@ -49,7 +48,7 @@ val batch : ?pool:Par.Pool.t -> t -> Taskset.t list -> Oracle.result list
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val stats : t -> stats
-(** Lifetime counters plus current population across all shards. *)
+(** Lifetime counters plus the current number of entries. *)
 
 val register_probes : t -> Hrt_obs.Sink.t -> unit
 (** Register pull gauges ["admit.cache.hits"], ["admit.cache.misses"],

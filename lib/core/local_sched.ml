@@ -30,14 +30,14 @@ and t = {
   mutable completion_ev : Engine.handle;
   mutable completion_gen : int;
   mutable completion_armed_gen : int;
-  (* Cached engine actions for the recurring per-CPU events (scheduler
-     pass requests, op completions, kick IPIs, steal polls). Each names a
-     source registered at [create]; scheduling them allocates nothing. *)
-  mutable soft_action : Engine.action;
-  mutable complete_action : Engine.action;
-  mutable kick_action : Engine.action;
-  mutable kick_inner : Engine.action;
-  mutable steal_action : Engine.action;
+  (* Cached engine events for the recurring per-CPU events (scheduler
+     pass requests, op completions, kick IPIs, steal polls), each a
+     closure built once at [create]; scheduling them allocates nothing. *)
+  mutable soft_event : Engine.t -> unit;
+  mutable complete_event : Engine.t -> unit;
+  mutable kick_event : Engine.t -> unit;
+  mutable kick_inner : Engine.t -> unit;
+  mutable steal_event : Engine.t -> unit;
   mutable steal_armed : bool;
   mutable busy_until : Time.ns;
   mutable clock_skew : Time.ns;
@@ -514,11 +514,11 @@ and wake_sched t (th : Thread.t) =
 and request_invoke t =
   if not t.soft_pending then begin
     t.soft_pending <- true;
-    ignore (Engine.schedule_action_after (engine t) ~after:0L t.soft_action)
+    ignore (Engine.schedule_after (engine t) ~after:0L t.soft_event)
   end
 
-(* The registered handler behind [t.soft_action]: gated on the busy
-   window like every scheduler entry, but by parking the event itself
+(* The handler behind [t.soft_event]: gated on the busy window like
+   every scheduler entry, but by parking the event itself
    ([Engine.defer_current] — fresh sequence number, no allocation)
    instead of scheduling a bounce closure. *)
 and soft_entry t eng =
@@ -997,13 +997,13 @@ and schedule_completion t resume_at =
     let at = Time.(resume_at + th.work_left) in
     t.completion_gen <- t.completion_gen + 1;
     t.completion_armed_gen <- t.completion_gen;
-    t.completion_ev <- Engine.schedule_action (engine t) ~at t.complete_action
+    t.completion_ev <- Engine.schedule (engine t) ~at t.complete_event
   | Some _ | None -> ()
 [@@hrt.hot]
 
-(* The registered handler behind [t.complete_action]: gate first, then
-   drop the fire if a cancel/re-schedule happened while it sat deferred
-   behind a busy window. *)
+(* The handler behind [t.complete_event]: gate first, then drop the
+   fire if a cancel/re-schedule happened while it sat deferred behind a
+   busy window. *)
 and complete_entry t eng =
   if Time.(Engine.now eng < t.busy_until) then
     Engine.defer_current eng ~at:t.busy_until
@@ -1064,11 +1064,10 @@ and arm_steal t =
       else Time.ms 1
     in
     t.steal_armed <- true;
-    ignore
-      (Engine.schedule_action_after (engine t) ~after:interval t.steal_action)
+    ignore (Engine.schedule_after (engine t) ~after:interval t.steal_event)
   end
 
-(* The registered handler behind [t.steal_action]. Gated like every other
+(* The handler behind [t.steal_event]. Gated like every other
    scheduler entry: the idle thread cannot poll while the CPU is
    serialized in a pass or handler, and gating keeps steal-attempt events
    inside the CPU's monotone timeline. *)
@@ -1238,9 +1237,9 @@ let kick t ~from =
   ignore from;
   Account.record_kick t.account;
   let latency = sample t (platform t).Platform.ipi_latency in
-  ignore (Engine.schedule_action_after (engine t) ~after:latency t.kick_action)
+  ignore (Engine.schedule_after (engine t) ~after:latency t.kick_event)
 
-(* The registered handler behind [t.kick_action]: the IPI reaching this
+(* The handler behind [t.kick_event]: the IPI reaching this
    CPU's APIC after the wire latency. The APIC then delivers the cached
    [kick_inner] (gated scheduler entry) or holds it pending by PPR. *)
 let kick_entry t eng =
@@ -1351,11 +1350,11 @@ let create shared cpu =
       completion_ev = Engine.no_handle;
       completion_gen = 0;
       completion_armed_gen = 0;
-      soft_action = Engine.Soft_invoke 0;
-      complete_action = Engine.Complete 0;
-      kick_action = Engine.Wake 0;
-      kick_inner = Engine.Callback (fun _ -> ());
-      steal_action = Engine.Callback (fun _ -> ());
+      soft_event = ignore;
+      complete_event = ignore;
+      kick_event = ignore;
+      kick_inner = ignore;
+      steal_event = ignore;
       steal_armed = false;
       busy_until = 0L;
       clock_skew = 0L;
@@ -1373,23 +1372,18 @@ let create shared cpu =
     }
   in
   t.services <- make_services t;
-  (* Cache one action value per long-lived event source so the steady-state
+  (* Cache one closure per long-lived event source so the steady-state
      hot paths (soft-IRQ requests, completion timers, kick IPIs, steal
      polls) schedule without allocating a closure per event. The timer
      vector stays a gated closure: [Apic.fire] disarms before entering the
      handler, so deferring from inside it would lose a re-armed shot. *)
-  let eng = engine t in
-  t.soft_action <-
-    Engine.Soft_invoke (Engine.register_source eng (fun eng -> soft_entry t eng));
-  t.complete_action <-
-    Engine.Complete (Engine.register_source eng (fun eng -> complete_entry t eng));
-  t.kick_action <-
-    Engine.Wake (Engine.register_source eng (fun eng -> kick_entry t eng));
+  t.soft_event <- soft_entry t;
+  t.complete_event <- complete_entry t;
+  t.kick_event <- kick_entry t;
   t.kick_inner <-
-    Engine.Callback
-      (run_gated t (fun eng ->
-           let irq_ns = sample t (platform t).Platform.irq_dispatch in
-           invoke t eng ~irq_ns ~handler_ns:0L));
-  t.steal_action <- Engine.Callback (fun eng -> steal_entry t eng);
+    run_gated t (fun eng ->
+        let irq_ns = sample t (platform t).Platform.irq_dispatch in
+        invoke t eng ~irq_ns ~handler_ns:0L);
+  t.steal_event <- steal_entry t;
   Apic.set_timer_handler cpu.Machine.apic (run_gated t (on_timer t));
   t

@@ -157,7 +157,6 @@ let snapshot_metrics t =
     setg ("sched.policy." ^ Config.policy_name (config t).Config.policy) 1.;
     setg "engine.events_executed" (float_of_int (Engine.events_executed eng));
     setg "engine.queue_depth_hwm" (float_of_int (Engine.max_queue_depth eng));
-    setg "engine.pending_events" (float_of_int (Engine.pending eng));
     setg "engine.sim_time_ns" (Int64.to_float (Engine.now eng));
     setg "engine.total_frozen_ns" (Int64.to_float (Engine.total_frozen eng));
     Obs.Sink.sample_probes obs;
@@ -255,7 +254,7 @@ let create ?(seed = 42L) ?num_cpus ?(config = Config.default)
         pushed per event — the engine hot loop stays instrumentation-free. *)
      let eng = machine.Machine.engine in
      Obs.Sink.add_probe obs ~name:"engine.pending" (fun () ->
-         float_of_int (Engine.pending_events eng))
+         float_of_int (Engine.pending eng))
    end);
   let t =
     {

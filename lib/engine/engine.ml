@@ -1,23 +1,11 @@
-type action =
-  | Callback of (t -> unit)
-  | Timer_fire of int
-  | Soft_invoke of int
-  | Complete of int
-  | Wake of int
-  | Smi_fire of int
-  | Irq_pull of int
-  | Fault_tick of int
-
-and t = {
+type t = {
   mutable now : Time.ns;
   mutable now_tick : int;
-  queue : action Event_queue.t;
+  (* An event is the closure it runs. Long-lived subsystems build theirs
+     once and schedule that same value, so firing them allocates
+     nothing. *)
+  queue : (t -> unit) Event_queue.t;
   rng : Rng.t;
-  (* Registered event sources: the int carried by every non-[Callback]
-     action indexes this table. Long-lived subsystems register once and
-     cache one action value, so firing them allocates nothing. *)
-  mutable sources : (t -> unit) array;
-  mutable n_sources : int;
   mutable freeze_until : Time.ns;
   mutable freeze_tick : int;
   (* Closed freeze windows, in increasing order, merged when adjacent.
@@ -49,10 +37,8 @@ let[@hrt.cold] create ?(seed = 42L) () =
   {
     now = 0L;
     now_tick = 0;
-    queue = Event_queue.create ~dummy:(Callback nop);
+    queue = Event_queue.create ~dummy:nop;
     rng = Rng.create seed;
-    sources = [||];
-    n_sources = 0;
     freeze_until = Int64.min_int;
     freeze_tick = min_int;
     windows = [];
@@ -68,17 +54,6 @@ let[@hrt.cold] create ?(seed = 42L) () =
 let now t = t.now
 let rng t = t.rng
 
-let[@hrt.cold] register_source t f =
-  let k = t.n_sources in
-  if k = Array.length t.sources then begin
-    let n = Array.make (if k = 0 then 8 else 2 * k) nop in
-    Array.blit t.sources 0 n 0 k;
-    t.sources <- n
-  end;
-  t.sources.(k) <- f;
-  t.n_sources <- k + 1;
-  k
-
 let track_depth t =
   let n = Event_queue.size t.queue in
   if n > t.max_pending then t.max_pending <- n
@@ -89,17 +64,13 @@ let[@hrt.cold] schedule_past_error at now =
     (Format.asprintf "Engine.schedule: %a is in the past (now %a)" Time.pp at
        Time.pp now)
 
-let schedule_action t ~at a =
+let schedule t ~at f =
   if Time.(at < t.now) then schedule_past_error at t.now;
-  let h = Event_queue.add t.queue ~time:at a in
+  let h = Event_queue.add t.queue ~time:at f in
   track_depth t;
   h
 
-let schedule_action_after t ~after a =
-  schedule_action t ~at:Time.(t.now + after) a
-
-let schedule t ~at f = schedule_action t ~at (Callback f)
-let schedule_after t ~after f = schedule_action t ~at:Time.(t.now + after) (Callback f)
+let schedule_after t ~after f = schedule t ~at:Time.(t.now + after) f
 
 let cancel t h = Event_queue.cancel t.queue h
 
@@ -178,20 +149,7 @@ let[@hrt.cold] total_frozen t =
 let stop t = t.stopped <- true
 let events_executed t = t.executed
 let pending t = Event_queue.size t.queue
-let pending_events = pending
 let max_queue_depth t = t.max_pending
-
-let dispatch t a =
-  match a with
-  | Callback f -> f t
-  | Timer_fire k
-  | Soft_invoke k
-  | Complete k
-  | Wake k
-  | Smi_fire k
-  | Irq_pull k
-  | Fault_tick k ->
-    t.sources.(k) t
 
 let run ?until ?max_events t =
   t.stopped <- false;
@@ -221,7 +179,7 @@ let run ?until ?max_events t =
       decr budget;
       t.current <- h;
       t.deferred <- false;
-      dispatch t (Event_queue.payload t.queue h);
+      (Event_queue.payload t.queue h) t;
       t.current <- Event_queue.none;
       if not t.deferred then Event_queue.finish t.queue h
     end

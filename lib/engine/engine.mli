@@ -9,31 +9,16 @@
     relative order, and records the window so that thread progress accounting
     can subtract it.
 
-    {2 Actions}
+    {2 Events}
 
-    An event's payload is an {!action}. Hot subsystems (APIC timers, SMI
-    generators, IRQ devices, scheduler kicks, fault injectors) register a
-    handler once ({!register_source}), cache the single action value naming
-    it, and schedule that value over and over: together with the queue's
-    entry pool this makes steady-state event traffic allocation-free. The
-    [Callback] constructor keeps the classic closure interface for cold
-    paths and tests. *)
+    An event is the closure [t -> unit] it runs when it fires. Hot
+    subsystems (APIC timers, SMI generators, IRQ devices, scheduler
+    kicks, barrier departures, fault injectors) build their closure once
+    and schedule that same value over and over: together with the
+    queue's entry pool this makes steady-state event traffic
+    allocation-free. *)
 
 type t
-
-(** What to run when an event fires. The [int] carried by every
-    constructor except [Callback] is a key from {!register_source}; the
-    constructors are distinct only so traces and debuggers can tell event
-    kinds apart — the engine dispatches them identically. *)
-type action =
-  | Callback of (t -> unit)
-  | Timer_fire of int  (** one-shot APIC timer expiry *)
-  | Soft_invoke of int  (** software-requested scheduler pass *)
-  | Complete of int  (** thread completion bookkeeping *)
-  | Wake of int  (** thread wake: cross-CPU kick (IPI), barrier departure *)
-  | Smi_fire of int  (** SMI generator expiry *)
-  | Irq_pull of int  (** device interrupt arrival *)
-  | Fault_tick of int  (** fault-injection plan step *)
 
 type handle = Event_queue.handle
 (** Handle to a scheduled event, usable for cancellation. Immediate and
@@ -49,22 +34,13 @@ val create : ?seed:int64 -> unit -> t
 val now : t -> Time.ns
 val rng : t -> Rng.t
 
-val register_source : t -> (t -> unit) -> int
-(** Register a long-lived event handler; returns the key to embed in a
-    (cached) non-[Callback] action. Sources are never unregistered. *)
-
-val schedule_action : t -> at:Time.ns -> action -> handle
-(** Schedule an action at absolute time [at]. Raises [Invalid_argument]
-    if [at] is earlier than {!now}. *)
-
-val schedule_action_after : t -> after:Time.ns -> action -> handle
-(** Schedule relative to {!now}. *)
-
 val schedule : t -> at:Time.ns -> (t -> unit) -> handle
-(** [schedule t ~at f] = [schedule_action t ~at (Callback f)]. *)
+(** Schedule an event at absolute time [at]. The closure is stored as
+    given: scheduling a cached closure allocates nothing. Raises
+    [Invalid_argument] if [at] is earlier than {!now}. *)
 
 val schedule_after : t -> after:Time.ns -> (t -> unit) -> handle
-(** Schedule a callback relative to {!now}. *)
+(** Schedule an event relative to {!now}. *)
 
 val cancel : t -> handle -> unit
 (** Idempotent; cancelling an already-fired event is a no-op. *)
@@ -101,9 +77,6 @@ val events_executed : t -> int
 
 val pending : t -> int
 (** Number of live events still queued, O(1). *)
-
-val pending_events : t -> int
-(** Alias of {!pending} (the name the observability gauge uses). *)
 
 val max_queue_depth : t -> int
 (** High-water mark of {!pending} over the engine's lifetime (an event-loop

@@ -264,10 +264,5 @@ let inject plan sys =
       let irng = Rng.split rng in
       let arm e = apply sys irng e it.action in
       if Time.(it.at <= Engine.now eng) then arm eng
-      else begin
-        (* Registered as a named source so the trace identifies the event
-           as a fault arming rather than an anonymous callback. *)
-        let key = Engine.register_source eng arm in
-        ignore (Engine.schedule_action eng ~at:it.at (Engine.Fault_tick key))
-      end)
+      else ignore (Engine.schedule eng ~at:it.at arm))
     plan.items

@@ -2,15 +2,15 @@ open Hrt_engine
 open Hrt_core
 module Obs = Hrt_obs
 
-(* One thread's pending departure, fired through a source registered
-   the first time that thread crosses this barrier. A thread stays
+(* One thread's pending departure, fired through a closure built the
+   first time that thread crosses this barrier. A thread stays
    blocked until its departure fires, so it never has two pending at
    once and the slot is free to reuse for its next crossing. [wake] is
    the releasing thread's wake service. *)
 type departure = {
   mutable th : Thread.t;
   mutable wake : Thread.t -> unit;
-  mutable action : Engine.action;
+  mutable event : Engine.t -> unit;
 }
 
 type t = {
@@ -94,10 +94,8 @@ let departure t (th : Thread.t) =
   match t.departures.(id) with
   | Some d -> d
   | None ->
-    let d = { th; wake = ignore; action = Engine.Wake 0 } in
-    d.action <-
-      Engine.Wake
-        (Engine.register_source (Scheduler.engine t.sys) (fun _ -> d.wake d.th));
+    let d = { th; wake = ignore; event = ignore } in
+    d.event <- (fun _ -> d.wake d.th);
     t.departures.(id) <- Some d;
     d
 
@@ -115,9 +113,9 @@ let release t (svc : Thread.services) n =
     d.th <- th;
     d.wake <- svc.Thread.wake;
     ignore
-      (Engine.schedule_action_after eng
+      (Engine.schedule_after eng
          ~after:(Int64.mul t.delta (Int64.of_int (i + 1)))
-         d.action)
+         d.event)
   done
 
 type phase = Pre_arrive | Arriving | Waiting | Done

@@ -8,7 +8,7 @@ open Hrt_engine
 let sched_prio = 15
 let rt_ppr = 14
 
-type pending = { prio : int; seq : int; action : Engine.action }
+type pending = { prio : int; seq : int; event : Engine.t -> unit }
 
 (* Sentinel for "timer disarmed": arming the one-shot then stores a plain
    int64 deadline, no option box per reprogram. *)
@@ -31,9 +31,9 @@ type t = {
          delivery so a reprogrammed-away shot is dropped even if its
          queue entry could not be cancelled precisely. *)
   mutable armed_gen : int; (* generation of the armed shot, if any *)
-  mutable fire_action : Engine.action;
-      (* The single cached timer-expiry action: every arm schedules this
-         same value, so reprogramming the one-shot allocates no closure. *)
+  mutable fire_event : Engine.t -> unit;
+      (* The single cached timer-expiry closure: every arm schedules this
+         same value, so reprogramming the one-shot allocates nothing. *)
   mutable pending : pending list; (* unsorted; flushed by priority *)
   mutable pending_seq : int;
   mutable extra_jitter_ns : Time.ns; (* fault-injected latency, uniform max *)
@@ -65,15 +65,14 @@ let[@hrt.cold] create ~engine ~rng ~tick_ns ~tsc_deadline ~jitter_max_cycles ~gh
       timer_at = no_deadline;
       timer_gen = 0;
       armed_gen = -1;
-      fire_action = Engine.Timer_fire 0;
+      fire_event = ignore;
       pending = [];
       pending_seq = 0;
       extra_jitter_ns = 0L;
       extra_rng = None;
     }
   in
-  t.fire_action <-
-    Engine.Timer_fire (Engine.register_source engine (fun eng -> fire t eng));
+  t.fire_event <- fire t;
   t
 
 let set_timer_handler t f = t.timer_handler <- f
@@ -119,7 +118,7 @@ let arm t ~at =
   let fire_at = Time.(fire_at + delivery_latency t) in
   t.timer_at <- fire_at;
   t.armed_gen <- t.timer_gen;
-  t.timer_ev <- Engine.schedule_action t.engine ~at:fire_at t.fire_action
+  t.timer_ev <- Engine.schedule t.engine ~at:fire_at t.fire_event
 
 let timer_armed t = t.timer_at <> no_deadline
 
@@ -142,7 +141,7 @@ let[@hrt.cold] flush t eng =
       deliverable
   in
   List.iter
-    (fun p -> ignore (Engine.schedule_action_after eng ~after:0L p.action))
+    (fun p -> ignore (Engine.schedule_after eng ~after:0L p.event))
     ordered
 
 let set_ppr t eng prio =
@@ -150,12 +149,12 @@ let set_ppr t eng prio =
   t.ppr <- prio;
   if prio < old then flush t eng
 
-let deliver t eng ~prio action =
+let deliver t eng ~prio event =
   if prio > t.ppr then
-    ignore (Engine.schedule_action_after eng ~after:(delivery_latency t) action)
+    ignore (Engine.schedule_after eng ~after:(delivery_latency t) event)
   else begin
     t.pending <-
-      ({ prio; seq = t.pending_seq; action } :: t.pending
+      ({ prio; seq = t.pending_seq; event } :: t.pending
       [@hrt.alloc_ok "masked delivery is the slow path; one record per \
                       deferred interrupt"]);
     t.pending_seq <- t.pending_seq + 1

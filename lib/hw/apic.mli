@@ -68,10 +68,10 @@ val set_ppr : t -> Engine.t -> int -> unit
 (** Change the processor priority; lowering it delivers any pending
     interrupts that are now unmasked, highest priority first. *)
 
-val deliver : t -> Engine.t -> prio:int -> Engine.action -> unit
-(** Present an interrupt to this CPU. Schedules the action (as a fresh
+val deliver : t -> Engine.t -> prio:int -> (Engine.t -> unit) -> unit
+(** Present an interrupt to this CPU. Schedules the handler (as a fresh
     engine event at the current instant plus delivery latency) if
     [prio > ppr], otherwise holds it pending. Callers on hot paths pass a
-    cached action so delivery allocates nothing. *)
+    cached closure so delivery allocates nothing. *)
 
 val pending_count : t -> int

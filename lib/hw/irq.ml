@@ -1,8 +1,8 @@
 open Hrt_engine
 
 (* Device arrivals run inside the event loop; the recurring arrival event
-   reuses a cached action, but per-delivery dispatch legitimately
-   allocates one closure (see [pull]). *)
+   reuses a cached closure, but per-delivery dispatch legitimately
+   allocates one (see [pull]). *)
 [@@@hrt.hot]
 
 type device = {
@@ -15,8 +15,8 @@ type device = {
   mutable running : bool;
   mutable delivered : int;
   rng : Rng.t;
-  mutable pull_action : Engine.action;
-      (* Cached action for the device's recurring arrival event. *)
+  mutable pull_event : Engine.t -> unit;
+      (* Cached closure for the device's recurring arrival event. *)
 }
 
 type t = {
@@ -45,14 +45,13 @@ let pick_target d =
 (* An arrival: steer to the next target CPU and present the interrupt to
    its APIC, then draw the gap to the next arrival. The dispatch closure
    captures the chosen CPU, so it is allocated per delivery; the recurring
-   arrival event itself reuses the device's cached action. *)
+   arrival event itself reuses the device's cached closure. *)
 let rec pull t d eng =
   if d.running then begin
     let cpu = pick_target d in
     d.delivered <- d.delivered + 1;
     Apic.deliver (t.apic_of cpu) eng ~prio:d.prio
-      (Engine.Callback
-         (fun eng -> t.dispatch ~cpu d eng)
+      ((fun eng -> t.dispatch ~cpu d eng)
        [@hrt.alloc_ok "one closure per delivery: the handler must capture \
                        the steered CPU"]);
     arm t d
@@ -63,7 +62,7 @@ and arm t d =
     Int64.of_float
       (Float.max 1. (Rng.exponential d.rng ~mean:(Int64.to_float d.mean_interval)))
   in
-  ignore (Engine.schedule_action_after t.engine ~after:gap d.pull_action)
+  ignore (Engine.schedule_after t.engine ~after:gap d.pull_event)
 
 let[@hrt.cold] add_device t ~name ~prio ~mean_interval ~handler_cost =
   let d =
@@ -77,11 +76,10 @@ let[@hrt.cold] add_device t ~name ~prio ~mean_interval ~handler_cost =
       running = false;
       delivered = 0;
       rng = Rng.split (Engine.rng t.engine);
-      pull_action = Engine.Irq_pull 0;
+      pull_event = ignore;
     }
   in
-  d.pull_action <-
-    Engine.Irq_pull (Engine.register_source t.engine (fun eng -> pull t d eng));
+  d.pull_event <- pull t d;
   t.devices <- d :: t.devices;
   d
 

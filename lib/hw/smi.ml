@@ -21,9 +21,9 @@ type t = {
   mutable stopped : bool;
   mutable count : int;
   mutable stolen : Time.ns;
-  mutable fire_action : Engine.action;
-      (* One registered source per generator: the self-rescheduling expiry
-         event reuses this cached action, so a storm allocates nothing. *)
+  mutable fire_event : Engine.t -> unit;
+      (* One closure per generator: the self-rescheduling expiry event
+         reuses it, so a storm allocates nothing. *)
 }
 
 let draw_interval t =
@@ -57,8 +57,7 @@ let rec fire t eng =
 
 and schedule_next t =
   ignore
-    (Engine.schedule_action_after t.engine ~after:(draw_interval t)
-       t.fire_action)
+    (Engine.schedule_after t.engine ~after:(draw_interval t) t.fire_event)
 
 let[@hrt.cold] install ?rng engine config =
   let t =
@@ -69,11 +68,10 @@ let[@hrt.cold] install ?rng engine config =
       stopped = false;
       count = 0;
       stolen = 0L;
-      fire_action = Engine.Smi_fire 0;
+      fire_event = ignore;
     }
   in
-  t.fire_action <-
-    Engine.Smi_fire (Engine.register_source engine (fun eng -> fire t eng));
+  t.fire_event <- fire t;
   schedule_next t;
   t
 

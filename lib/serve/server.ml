@@ -120,6 +120,13 @@ let listen_tcp port =
   (fd, bound)
 
 let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
+  (* A dispatch that pops nothing would leave every request queued and
+     a drain waiting forever; a negative default deadline would expire
+     every request the wire lets through without one. *)
+  if cfg.max_batch < 1 then invalid_arg "Server.create: max_batch < 1";
+  (match cfg.default_deadline_ms with
+  | Some ms when ms < 0 -> invalid_arg "Server.create: default_deadline_ms < 0"
+  | Some _ | None -> ());
   let ufd = listen_unix socket in
   let tcp = Option.map listen_tcp tcp_port in
   let t =
@@ -320,7 +327,21 @@ let key_miss_sets t payload =
   | Ok (Protocol.Query { specs; _ }) -> [ taskset_of t.cfg specs ]
   | Ok (Protocol.Batch _ | Protocol.Stats | Protocol.Drain) | Error _ -> []
 
-let answer t w results =
+(* A request answered on this domain: a keyed query whose key is
+   resident by [Service.find], anything else (a keyed miss is parsed
+   first) by one [Service.batch] of its own sets. Hits, misses,
+   evictions and the resident keys are therefore those of one
+   [Service.batch] per request, however the loop's reads grouped the
+   requests. *)
+let serve t w =
+  let results =
+    match w.ask with
+    | Sets sets -> Service.batch t.svc sets
+    | Key { key; payload } -> (
+      match Service.find t.svc key with
+      | Some r -> [ r ]
+      | None -> Service.batch t.svc (key_miss_sets t payload))
+  in
   let n = List.length results in
   t.served <- t.served + n;
   note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n ~outcome:"served";
@@ -330,80 +351,24 @@ let answer t w results =
           (fun r -> Protocol.verdict_of_oracle r.Hrt_analysis.Oracle.verdict)
           results))
 
-(* One dispatch batch: pop up to [max_batch] requests, answer the ones
-   whose deadline already passed, send the rest through the memoized
-   service on this domain (hits and misses alike: a fan-out across
-   domains costs more than it saves at any batch size), and fill the
-   reply slots. Keyed requests look their key up first, before
-   [Service.batch] inserts anything, just as the batch scans every set
-   before its first insert; a key that is not resident is parsed and
-   joins the batch, which counts its miss. Hits, misses, evictions and
-   the resident keys are therefore those of one [Service.batch] over
-   every live request's sets, in request order. *)
+let expire t w =
+  let n = set_count w.ask in
+  t.expired <- t.expired + n;
+  note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n ~outcome:"expired";
+  fill t w.slot (verdict_lines t (List.init n (fun _ -> Protocol.expired)))
+
+(* One dispatch: pop up to [max_batch] requests and answer each in
+   arrival order, the ones whose deadline already passed with
+   [expired]. *)
 let dispatch t =
-  if not (Queue.is_empty t.queue) then begin
-    let batch = ref [] and n = ref 0 in
-    while (not (Queue.is_empty t.queue)) && !n < t.cfg.max_batch do
-      batch := Queue.pop t.queue :: !batch;
-      incr n
-    done;
-    let batch = List.rev !batch in
-    let now = Clock.now_ns () in
-    let live, dead =
-      List.partition
-        (fun w ->
-          match w.deadline_ns with
-          | Some d -> Int64.compare now d <= 0
-          | None -> true)
-        batch
-    in
-    List.iter
-      (fun w ->
-        let n = set_count w.ask in
-        t.expired <- t.expired + n;
-        note_span t ~verb:w.verb ~arrival_ns:w.arrival_ns ~sets:n
-          ~outcome:"expired";
-        fill t w.slot
-          (verdict_lines t (List.init n (fun _ -> Protocol.expired))))
-      dead;
-    let found =
-      List.map
-        (fun w ->
-          match w.ask with
-          | Sets sets -> Either.Right sets
-          | Key { key; payload } -> (
-            match Service.find t.svc key with
-            | Some r -> Either.Left r
-            | None -> Either.Right (key_miss_sets t payload)))
-        live
-    in
-    let results =
-      match
-        List.concat_map (Either.fold ~left:(fun _ -> []) ~right:Fun.id) found
-      with
-      | [] -> []
-      | sets -> Service.batch t.svc sets
-    in
-    let rec take k acc rs =
-      if k = 0 then (List.rev acc, rs)
-      else
-        match rs with
-        | r :: rs -> take (k - 1) (r :: acc) rs
-        | [] -> (List.rev acc, [])
-    in
-    let rec split results ws found =
-      match (ws, found) with
-      | w :: ws, Either.Left r :: found ->
-        answer t w [ r ];
-        split results ws found
-      | w :: ws, Either.Right sets :: found ->
-        let mine, results = take (List.length sets) [] results in
-        answer t w mine;
-        split results ws found
-      | _ -> ()
-    in
-    split results live found
-  end
+  let n = ref 0 in
+  while (not (Queue.is_empty t.queue)) && !n < t.cfg.max_batch do
+    let w = Queue.pop t.queue in
+    incr n;
+    match w.deadline_ns with
+    | Some d when Int64.compare (Clock.now_ns ()) d > 0 -> expire t w
+    | Some _ | None -> serve t w
+  done
 
 (* ---- I/O ---- *)
 

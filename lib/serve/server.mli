@@ -3,15 +3,17 @@
     A long-running concurrent front-end to the memoized
     {!Hrt_analysis.Service}: clients connect over a Unix-domain socket
     (and optionally TCP on localhost), speak {!Protocol} frames, and get
-    one reply per request. Requests land in a bounded FIFO queue drained
-    in batches through [Service.batch], on the serving loop's own domain:
-    hits and misses alike. No dispatch spawns a domain; fanning a batch's
-    misses across domains lost at every batch size it was measured at.
-    A [query] is first read straight to its cache key
+    one reply per request. Requests land in a bounded FIFO queue, and
+    each is answered in arrival order on the serving loop's own domain:
+    hits and misses alike. No dispatch spawns a domain; fanning misses
+    across domains lost at every batch size it was measured at. A
+    [query] is first read straight to its cache key
     ({!Protocol.query_key}); a resident key is answered by
-    [Service.find] with a verdict line rendered once, and everything
-    else joins the batch, so replies and cache counts are those of one
-    [Service.batch] over every request's sets in order.
+    [Service.find] with a verdict line rendered once, and any other
+    request by one [Service.batch] of its own sets. Replies and the
+    cache counts in [stats] are therefore those of one [Service.batch]
+    per request, in arrival order, however the loop's reads grouped the
+    requests.
 
     The server applies admission-themed backpressure to {e itself}
     rather than stalling or dropping connections:
@@ -51,10 +53,11 @@ type config = {
           domain. The field remains only because hrtbench still sets it;
           ROADMAP item 6 deletes it together with that use. *)
   max_queue : int;  (** queued requests beyond which queries are shed *)
-  max_batch : int;  (** requests served per dispatch batch *)
+  max_batch : int;
+      (** requests answered per pass of the serving loop, at least 1 *)
   max_frame : int;  (** per-frame payload cap handed to the {!Protocol.Decoder} *)
   default_deadline_ms : int option;
-      (** applied to requests that carry no [@ms] token *)
+      (** applied to requests that carry no [@ms] token; not negative *)
 }
 
 val default_config : config
@@ -79,8 +82,9 @@ val create :
     probes and sampled at drain. [trace_out] is a Chrome-trace JSON
     array with one span per request (verb, queue+service time, outcome),
     each written as the request completes; the array is closed at drain.
-    Raises [Unix.Unix_error] if binding fails, [Sys_error] if
-    [trace_out] cannot be opened. *)
+    Raises [Invalid_argument], before binding anything, if [max_batch]
+    is below 1 or [default_deadline_ms] is negative; [Unix.Unix_error]
+    if binding fails; [Sys_error] if [trace_out] cannot be opened. *)
 
 val tcp_port : t -> int option
 (** The bound TCP port, once created (resolves an ephemeral request). *)

@@ -256,7 +256,7 @@ let test_cache_warm_equals_cold () =
   Alcotest.(check int) "still one miss" 1 (Service.stats svc).Service.misses
 
 let test_cache_eviction_fifo () =
-  let svc = Service.create ~shards:1 ~capacity:2 () in
+  let svc = Service.create ~capacity:2 () in
   let sets = corpus ~n:3 ~seed:7L in
   List.iter (fun ts -> ignore (Service.query svc ts)) sets;
   let s = Service.stats svc in
@@ -283,7 +283,7 @@ let test_batch_jobs_identical () =
 (* Cache stats are independent of the job count: a corpus with
    duplicates, and a batch mixing warm hits, repeated misses and distinct
    misses, see the same results, hits, misses, entries and evictions at
-   jobs=1 and jobs=4 — also in one shard of capacity 2, where the hits
+   jobs=1 and jobs=4 — also in a cache of capacity 2, where the hits
    answered first are evicted by the misses analyzed after them, and
    where re-querying the batch's misses one at a time tells which of
    them stayed resident. *)
@@ -300,8 +300,8 @@ let test_cache_stats_job_invariant () =
     | [ a; b ] -> [ a; x; b; x; y; a; z; x ]
     | _ -> Alcotest.fail "corpus size"
   in
-  let run ?shards ?capacity jobs batches =
-    let svc = Service.create ?shards ?capacity () in
+  let run ?capacity jobs batches =
+    let svc = Service.create ?capacity () in
     let results =
       List.map
         (fun sets ->
@@ -312,9 +312,9 @@ let test_cache_stats_job_invariant () =
     in
     (results, Service.stats svc)
   in
-  let same ?shards ?capacity name batches =
-    let r1, s1 = run ?shards ?capacity 1 batches in
-    let r4, s4 = run ?shards ?capacity 4 batches in
+  let same ?capacity name batches =
+    let r1, s1 = run ?capacity 1 batches in
+    let r4, s4 = run ?capacity 4 batches in
     let check what a b = Alcotest.(check int) (name ^ ": same " ^ what) a b in
     Alcotest.(check bool) (name ^ ": results identical") true (r1 = r4);
     check "misses" s1.Service.misses s4.Service.misses;
@@ -329,7 +329,7 @@ let test_cache_stats_job_invariant () =
   ignore (same "hit/miss mix" [ warm; mixed ]);
   (* a, b, a hit before x, y, z are analyzed (the repeated x's are
      handed x's result); the three inserts then evict three times. *)
-  let s = same ~shards:1 ~capacity:2 "FIFO-full shard" [ warm; mixed ] in
+  let s = same ~capacity:2 "FIFO-full cache" [ warm; mixed ] in
   Alcotest.(check (list int)) "hits-first counts" [ 5; 5; 2; 3 ]
     Service.[ s.misses; s.hits; s.entries; s.evictions ];
   (* x, y, z were inserted in that order, so y and z are resident. One
@@ -338,7 +338,7 @@ let test_cache_stats_job_invariant () =
      z, which misses in turn. Any other insert order leaves another pair
      resident, and one of these queries then hits. *)
   let s =
-    same ~shards:1 ~capacity:2 "FIFO-full shard, re-queried"
+    same ~capacity:2 "FIFO-full cache, re-queried"
       [ warm; mixed; [ x ]; [ y ]; [ z ] ]
   in
   Alcotest.(check (list int)) "the batch's last two misses stayed"

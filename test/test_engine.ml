@@ -129,22 +129,19 @@ let test_determinism () =
 
 let test_steady_state_allocation () =
   (* The zero-allocation contract: a steady-state run driven by a cached
-     action must not grow the major heap. The only per-event allocations
+     closure must not grow the major heap. The only per-event allocations
      allowed are the boxed int64s for the advancing clock, which die in the
      minor heap; the queue itself (pool + wheel) recycles entries in place.
      Bound the total allocation rate and the words promoted by minor GCs. *)
   let eng = Engine.create () in
   let remaining = ref 10_000 in
-  let action = ref (Engine.Callback (fun _ -> ())) in
-  let key =
-    Engine.register_source eng (fun eng ->
-        if !remaining > 0 then begin
-          decr remaining;
-          ignore (Engine.schedule_action_after eng ~after:3L !action)
-        end)
+  let rec event eng =
+    if !remaining > 0 then begin
+      decr remaining;
+      ignore (Engine.schedule_after eng ~after:3L event)
+    end
   in
-  action := Engine.Timer_fire key;
-  ignore (Engine.schedule_action eng ~at:1L !action);
+  ignore (Engine.schedule eng ~at:1L event);
   (* Warm-up: let the entry pool and wheel reach steady state. *)
   Engine.run ~until:2_000L eng;
   let measured = !remaining in

@@ -96,11 +96,10 @@ let test_apic_ppr_gating () =
     (Engine.schedule eng ~at:10L (fun eng ->
          Apic.set_ppr apic eng Apic.rt_ppr;
          (* Device priority 8: held pending. *)
-         Apic.deliver apic eng ~prio:8
-           (Engine.Callback (fun _ -> log := "dev" :: !log));
+         Apic.deliver apic eng ~prio:8 (fun _ -> log := "dev" :: !log);
          (* Scheduling priority 15: goes through. *)
-         Apic.deliver apic eng ~prio:Apic.sched_prio
-           (Engine.Callback (fun _ -> log := "sched" :: !log))));
+         Apic.deliver apic eng ~prio:Apic.sched_prio (fun _ ->
+             log := "sched" :: !log)));
   ignore
     (Engine.schedule eng ~at:50L (fun eng ->
          Alcotest.(check int) "one pending" 1 (Apic.pending_count apic);
@@ -117,9 +116,9 @@ let test_apic_pending_priority_order () =
   ignore
     (Engine.schedule eng ~at:10L (fun eng ->
          Apic.set_ppr apic eng 14;
-         Apic.deliver apic eng ~prio:5 (Engine.Callback (fun _ -> log := 5 :: !log));
-         Apic.deliver apic eng ~prio:9 (Engine.Callback (fun _ -> log := 9 :: !log));
-         Apic.deliver apic eng ~prio:7 (Engine.Callback (fun _ -> log := 7 :: !log))));
+         Apic.deliver apic eng ~prio:5 (fun _ -> log := 5 :: !log);
+         Apic.deliver apic eng ~prio:9 (fun _ -> log := 9 :: !log);
+         Apic.deliver apic eng ~prio:7 (fun _ -> log := 7 :: !log)));
   ignore (Engine.schedule eng ~at:20L (fun eng -> Apic.set_ppr apic eng 0));
   Engine.run eng;
   Alcotest.(check (list int)) "highest priority first" [ 9; 7; 5 ]

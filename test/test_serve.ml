@@ -1100,18 +1100,18 @@ let test_send_and_close_clients () =
       Alcotest.(check (float 0.)) "closed clients' queries served"
         (float_of_int clients) (served 200))
 
-(* One request at a time over a raw connection: the reply payload's
-   bytes as the server sent them. *)
-let raw_exchange fd dec payload =
-  let frame = P.frame payload in
-  let rec write off =
+(* [payloads] written to a raw connection [per_write] frames at a time,
+   each group's replies read before the next write: the reply payloads'
+   bytes as the server sent them, in request order. *)
+let raw_exchange_all fd ~per_write payloads =
+  let dec = P.Decoder.create () in
+  let buf = Bytes.create 4096 in
+  let rec write frame off =
     if off < String.length frame then
-      write
+      write frame
         (off + Unix.write_substring fd frame off (String.length frame - off))
   in
-  write 0;
-  let buf = Bytes.create 4096 in
-  let rec read () =
+  let rec read_reply () =
     match P.Decoder.next dec with
     | `Frame reply -> reply
     | `Error e -> Alcotest.failf "reply unframed: %s" (P.describe_error e)
@@ -1120,16 +1120,30 @@ let raw_exchange fd dec payload =
       | 0 -> Alcotest.fail "the server closed the connection"
       | n ->
         P.Decoder.feed dec buf 0 n;
-        read ())
+        read_reply ())
   in
-  read ()
+  let rec go acc = function
+    | [] -> List.rev acc
+    | payloads ->
+      let group = List.filteri (fun i _ -> i < per_write) payloads in
+      let rest = List.filteri (fun i _ -> i >= per_write) payloads in
+      write (String.concat "" (List.map P.frame group)) 0;
+      go (List.rev_append (List.map (fun _ -> read_reply ()) group) acc) rest
+  in
+  go [] payloads
 
-(* Requests one at a time to a live server: more distinct sets than the
-   cache holds (8 shards of 1,024), so FIFO evictions run, mixed with
-   repeats, permutations, respellings, [@ms] tokens, batch frames and
-   malformed requests. Every reply is the in-process answer byte for
-   byte, and the final hits, misses, evictions and entries are those of
-   a fresh service that sees each request as one [Service.batch]. *)
+(* Two inputs to a live server, each more distinct sets than the cache
+   holds (8,192), so FIFO evictions run. The first is sent one request
+   at a time and mixes repeats, permutations, respellings, [@ms] tokens,
+   batch frames and malformed requests. The second is pipelined, 64
+   frames per write (within [max_queue], so nothing is shed): it fills
+   the cache, then repeats 40 rounds of 32 fresh sets followed by 32
+   repeats of the sets first named 8,192 fresh sets earlier, the keys
+   the fresh sets just pushed out. For both, every reply is the
+   in-process answer byte for byte, and the final hits, misses,
+   evictions and entries are those of a fresh service that sees each
+   request as one [Service.batch], however the server's reads grouped
+   the frames. *)
 let test_counter_parity () =
   let module S = Hrt_analysis.Service in
   let module O = Hrt_analysis.Oracle in
@@ -1175,6 +1189,16 @@ let test_counter_parity () =
   in
   Alcotest.(check bool) "more distinct sets than the cache holds" true
     (!fresh > 8 * 1024);
+  let capacity = 8 * 1024 and rounds = 40 and round = 32 in
+  let pipelined =
+    let query i = "query " ^ spell_set (set i) in
+    List.init capacity query
+    @ List.concat
+        (List.init rounds (fun r ->
+             let first = capacity + (round * r) in
+             List.init round (fun j -> query (first + j))
+             @ List.init round (fun j -> query (first + j - capacity))))
+  in
   let verdict specs =
     P.verdict_of_oracle (O.analyze (view specs)).O.verdict
   in
@@ -1186,55 +1210,64 @@ let test_counter_parity () =
     | Ok (P.Stats | P.Drain) -> Alcotest.fail "no stats or drain is sent"
     | Error e -> P.render_reply (P.error_reply e)
   in
-  let replay = S.create () in
-  List.iter
-    (fun payload ->
-      match P.parse_request payload with
-      | Ok (P.Query { specs; _ }) -> ignore (S.batch replay [ view specs ])
-      | Ok (P.Batch { sets; _ }) -> ignore (S.batch replay (List.map view sets))
-      | Ok (P.Stats | P.Drain) | Error _ -> ())
-    payloads;
-  let want = S.stats replay in
-  Alcotest.(check bool) "the replay evicts" true (want.S.evictions > 0);
-  with_server (fun addr _ ->
-      let path =
-        match addr with
-        | Client.Unix_path path -> path
-        | Client.Tcp _ -> Alcotest.fail "expected a Unix socket"
-      in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX path);
-          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
-          let dec = P.Decoder.create () in
-          let wrong =
-            List.filter
-              (fun payload ->
-                not
-                  (String.equal (raw_exchange fd dec payload)
-                     (expected payload)))
-              payloads
-          in
-          (match wrong with
-          | [] -> ()
-          | payload :: _ ->
-            Alcotest.failf "%d replies differ, first for %S" (List.length wrong)
-              payload);
-          match P.parse_reply (raw_exchange fd dec "stats") with
-          | Ok (P.Stats_reply kvs) ->
-            let stat k =
-              match List.assoc_opt k kvs with
-              | Some v -> int_of_float v
-              | None -> Alcotest.failf "stats lacks %s" k
+  let live_matches_replay name ~per_write payloads =
+    let replay = S.create () in
+    List.iter
+      (fun payload ->
+        match P.parse_request payload with
+        | Ok (P.Query { specs; _ }) -> ignore (S.batch replay [ view specs ])
+        | Ok (P.Batch { sets; _ }) ->
+          ignore (S.batch replay (List.map view sets))
+        | Ok (P.Stats | P.Drain) | Error _ -> ())
+      payloads;
+    let want = S.stats replay in
+    Alcotest.(check bool) (name ^ ": the replay evicts") true
+      (want.S.evictions > 0);
+    with_server (fun addr _ ->
+        let path =
+          match addr with
+          | Client.Unix_path path -> path
+          | Client.Tcp _ -> Alcotest.fail "expected a Unix socket"
+        in
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+            let replies = raw_exchange_all fd ~per_write payloads in
+            let wrong =
+              List.filter
+                (fun (payload, reply) ->
+                  not (String.equal reply (expected payload)))
+                (List.combine payloads replies)
             in
-            Alcotest.(check int) "hits" want.S.hits (stat "hits");
-            Alcotest.(check int) "misses" want.S.misses (stat "misses");
-            Alcotest.(check int) "evictions" want.S.evictions
-              (stat "evictions");
-            Alcotest.(check int) "entries" want.S.entries (stat "entries")
-          | _ -> Alcotest.fail "stats did not answer"))
+            (match wrong with
+            | [] -> ()
+            | (payload, _) :: _ ->
+              Alcotest.failf "%s: %d replies differ, first for %S" name
+                (List.length wrong) payload);
+            match raw_exchange_all fd ~per_write:1 [ "stats" ] with
+            | [ reply ] -> (
+              match P.parse_reply reply with
+              | Ok (P.Stats_reply kvs) ->
+                let stat k =
+                  match List.assoc_opt k kvs with
+                  | Some v -> int_of_float v
+                  | None -> Alcotest.failf "stats lacks %s" k
+                in
+                let check what want =
+                  Alcotest.(check int) (name ^ ": " ^ what) want (stat what)
+                in
+                check "hits" want.S.hits;
+                check "misses" want.S.misses;
+                check "evictions" want.S.evictions;
+                check "entries" want.S.entries
+              | _ -> Alcotest.fail "stats did not answer")
+            | _ -> Alcotest.fail "stats did not answer"))
+  in
+  live_matches_replay "one at a time" ~per_write:1 payloads;
+  live_matches_replay "pipelined" ~per_write:64 pipelined
 
 (* Drain under load: pipeline a burst, drain mid-flight, and every
    accepted request still gets exactly one reply (served, or shed with
@@ -1292,6 +1325,23 @@ let test_tcp_listener () =
             (v = direct_verdict [ "P:1000:300" ])
         | r -> Alcotest.failf "unexpected reply: %s" (P.render_reply r)))
 
+(* A dispatch that pops nothing would never answer, and a drain would
+   wait on the queue forever; a negative default deadline would expire
+   every request. [create] refuses both before it binds the socket. *)
+let test_create_refuses_bad_config () =
+  let refused what cfg =
+    let path = sock_path () in
+    (match Server.create ~socket:path cfg with
+    | _ -> Alcotest.failf "%s: created" what
+    | exception Invalid_argument _ -> ());
+    Alcotest.(check bool) (what ^ ": no socket bound") false
+      (Sys.file_exists path)
+  in
+  refused "max_batch 0" { Server.default_config with max_batch = 0 };
+  refused "max_batch -1" { Server.default_config with max_batch = -1 };
+  refused "deadline -1 ms"
+    { Server.default_config with default_deadline_ms = Some (-1) }
+
 let suite =
   [
     Alcotest.test_case "decoder round-trip" `Quick test_decoder_roundtrip;
@@ -1335,6 +1385,8 @@ let suite =
     Alcotest.test_case "drain verb stops server" `Quick
       test_drain_verb_stops_server;
     Alcotest.test_case "tcp listener" `Quick test_tcp_listener;
+    Alcotest.test_case "create refuses a batch or deadline below range" `Quick
+      test_create_refuses_bad_config;
     Alcotest.test_case "dispatch spawns no domain" `Quick
       test_dispatch_spawns_no_domain;
     Alcotest.test_case "trace-out streams one span per request" `Quick
