@@ -2,9 +2,11 @@
 # CI gate: type-check, run the full test suite and the lint, verify that
 # the observability layer costs nothing when disabled
 # (bench/overhead_check.ml), then smoke the admission CLI, run --csv,
-# run's argument checks and the serving daemon, send the daemon one set
-# in four spellings, check that it refuses --max-batch 0, and flood it
-# with idle connections and with clients that close before their reply.
+# run's argument checks, a finished fig4 leaving the metrics sink to the
+# next experiment, unwritable output paths refused before any work, and
+# the serving daemon, send the daemon one set in four spellings, check
+# that it refuses --max-batch 0, and flood it with idle connections and
+# with clients that close before their reply.
 # The performance gate is bench/gate.py over hrtbench runs (CI's
 # hrtbench job).
 set -eu
@@ -116,6 +118,60 @@ if [ "$status" -ne 2 ] || [ -s /tmp/hrt_run_bad_csv.txt ]; then
   echo "check.sh: run --csv with an unmakeable DIR exited $status or ran fig3" >&2
   exit 1
 fi
+
+echo "== a finished experiment leaves the sink =="
+# fig4 drives its scope pins from the sink's event stream. Its pin
+# recorder used to stay subscribed to the caller's sink, so every later
+# experiment scheduled edges on fig4's finished engine until its event
+# pool ran out (exit 125).
+status=0
+dune exec bin/hrt_sim.exe -- run --metrics-out /tmp/hrt_metrics_fig47.csv \
+  fig4 fig7 >/dev/null || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "check.sh: run --metrics-out fig4 fig7 exited $status" >&2
+  exit 1
+fi
+
+echo "== unwritable outputs are refused before any work =="
+# Each output path is opened before anything runs or binds: exit 2, a
+# "<command>: --<flag> <path>: <reason>" line and an empty stdout. These
+# used to fail with a raw Sys_error (exit 125) after the workload had
+# run and printed its result, and serve left its socket behind.
+bad=/nonexistent/hrt-out
+status=0
+dune exec bin/hrt_sim.exe -- missrate --metrics-out "$bad" \
+  >/tmp/hrt_bad_out.txt 2>/tmp/hrt_bad_err.txt || status=$?
+cat /tmp/hrt_bad_err.txt
+if [ "$status" -ne 2 ] || [ -s /tmp/hrt_bad_out.txt ] ||
+  ! grep -q "^missrate: --metrics-out $bad: " /tmp/hrt_bad_err.txt; then
+  echo "check.sh: missrate --metrics-out to an unwritable path exited $status" >&2
+  exit 1
+fi
+dune exec bin/hrt_sim.exe -- missrate --duration 5 \
+  --trace-out /tmp/hrt_bad_trace.json >/dev/null
+status=0
+dune exec bin/hrt_sim.exe -- verify /tmp/hrt_bad_trace.json --report "$bad" \
+  >/tmp/hrt_bad_out.txt 2>/tmp/hrt_bad_err.txt || status=$?
+cat /tmp/hrt_bad_err.txt
+if [ "$status" -ne 2 ] || [ -s /tmp/hrt_bad_out.txt ] ||
+  ! grep -q "^verify: --report $bad: " /tmp/hrt_bad_err.txt; then
+  echo "check.sh: verify --report to an unwritable path exited $status" >&2
+  exit 1
+fi
+dune build bin/hrt_sim.exe
+tmp=/tmp/hrt-bad-serve-$$
+rm -rf "$tmp"
+mkdir -p "$tmp"
+status=0
+timeout -k 2 10 _build/default/bin/hrt_sim.exe serve --socket "$tmp/s" \
+  --trace-out "$bad" >"$tmp/out.txt" 2>"$tmp/err.txt" || status=$?
+cat "$tmp/err.txt"
+if [ "$status" -ne 2 ] || [ -s "$tmp/out.txt" ] || [ -e "$tmp/s" ] ||
+  ! grep -q "^serve: --trace-out $bad: " "$tmp/err.txt"; then
+  echo "check.sh: serve --trace-out to an unwritable path exited $status or bound its socket" >&2
+  exit 1
+fi
+rm -rf "$tmp"
 
 echo "== admission serving smoke =="
 # The daemon boots, names its socket, answers a query and drains. The

@@ -129,11 +129,26 @@ let selfcheck_term =
            any violation (including a deadline miss of an admitted \
            real-time task) makes the process exit with status 2.")
 
+(* Open (creating or truncating) each requested output file before any
+   work starts: an unwritable path is a usage error, exit 2, and costs no
+   run. [outputs] pairs each flag name with its optional path. *)
+let check_outputs cmd outputs =
+  List.iter
+    (function
+      | _, None -> ()
+      | flag, Some path -> (
+        try close_out (open_out path)
+        with Sys_error m ->
+          Printf.eprintf "%s: --%s %s\n" cmd flag m;
+          exit 2))
+    outputs
+
 (* Build a sink for the requested outputs, hand it to the workload (which
    threads it through its run context), then export whatever was
    requested. Under --selfcheck a verifying checker subscribes to the same
    sink; its verdict decides the exit status. *)
-let with_obs ?(selfcheck = false) ~trace_out ~metrics_out f =
+let with_obs ?(selfcheck = false) ~cmd ~trace_out ~metrics_out f =
+  check_outputs cmd [ ("trace-out", trace_out); ("metrics-out", metrics_out) ];
   let sink =
     match (selfcheck, trace_out, metrics_out) with
     | false, None, None -> Hrt_obs.Sink.null
@@ -251,7 +266,7 @@ let run_cmd =
         names
     in
     Option.iter make_csv_dir csv_dir;
-    with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
+    with_obs ~selfcheck ~cmd:"run" ~trace_out ~metrics_out (fun sink ->
         if experiments = [] then demo ~sink ~scale ~policy ~fault ~degrade
         else begin
           let ctx =
@@ -287,7 +302,7 @@ let run_cmd =
 let all_cmd =
   let doc = "Run every experiment (the full evaluation section)." in
   let run scale trace_out metrics_out selfcheck policy jobs =
-    with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
+    with_obs ~selfcheck ~cmd:"all" ~trace_out ~metrics_out (fun sink ->
         let ctx = Exp.Ctx.make ~scale ~policy ~sink ~jobs () in
         List.iter
           (fun e -> ignore (Registry.run_and_print ~ctx e))
@@ -330,7 +345,7 @@ let bsp_cmd =
   in
   let run cpus grain barrier aperiodic period_us slice_pct iters policy
       trace_out metrics_out selfcheck =
-    with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
+    with_obs ~selfcheck ~cmd:"bsp" ~trace_out ~metrics_out (fun sink ->
         let params =
           match grain with
           | `Fine -> Hrt_bsp.Bsp.fine_grain ~cpus ~barrier:(barrier || aperiodic)
@@ -384,7 +399,7 @@ let missrate_cmd =
   let run platform period_us slice_pct ms policy inject intensity no_degrade
       trace_out metrics_out selfcheck =
     let fault, degrade = resolve_fault inject intensity no_degrade in
-    with_obs ~selfcheck ~trace_out ~metrics_out (fun sink ->
+    with_obs ~selfcheck ~cmd:"missrate" ~trace_out ~metrics_out (fun sink ->
         let config =
           {
             Config.default with
@@ -451,6 +466,7 @@ let verify_cmd =
           ~doc:"Also write the full verdict report to $(docv).")
   in
   let run trace report_out =
+    check_outputs "verify" [ ("report", report_out) ];
     match Hrt_verify.Verify.file trace with
     | Error msg ->
       Printf.eprintf "hrt_sim verify: %s: %s\n" trace msg;
@@ -624,7 +640,7 @@ let admit_batch_cmd =
              admit_taskset ~policy ~platform ~raw specs)
     in
     let svc = Hrt_analysis.Service.create () in
-    with_obs ~trace_out:None ~metrics_out (fun sink ->
+    with_obs ~cmd:"admit batch" ~trace_out:None ~metrics_out (fun sink ->
         if Hrt_obs.Sink.enabled sink then
           Hrt_analysis.Service.register_probes svc sink;
         let results = Hrt_analysis.Service.batch svc sets in
@@ -846,6 +862,8 @@ let serve_cmd =
       | Some ms when ms < 0 ->
         usage (Printf.sprintf "--deadline-ms must not be negative (got %d)" ms)
       | Some _ | None -> ());
+      check_outputs "serve"
+        [ ("trace-out", trace_out); ("metrics-out", metrics_out) ];
       let cfg =
         {
           Hrt_serve.Server.default_config with

@@ -1,6 +1,5 @@
 open Hrt_engine
 open Hrt_core
-open Hrt_hw
 
 type t = {
   config : Config.t;
@@ -11,19 +10,6 @@ type t = {
 let make ?(config = Config.default) ?(overhead_ns = 0L) tasks =
   { config; overhead_ns; tasks }
 
-(* Mirrors the admission ledger the scheduler boots with: each arrival is
-   charged two scheduler invocations, an invocation being the mean cost of
-   interrupt dispatch, one scheduler pass, residual bookkeeping, and a
-   context switch (Local_sched.create). *)
-let overhead_of_platform (plat : Platform.t) =
-  let per_invocation =
-    plat.Platform.irq_dispatch.Platform.mean_cycles
-    +. plat.Platform.sched_pass.Platform.mean_cycles
-    +. plat.Platform.sched_other.Platform.mean_cycles
-    +. plat.Platform.ctx_switch.Platform.mean_cycles
-  in
-  Platform.cycles_to_ns plat (2. *. per_invocation)
-
 (* The two analysis views the CLI and the serving daemon expose. The
    production view mirrors the ledger a scheduler boots with (periodic
    capacity limit, measured per-arrival overhead); the raw view asks the
@@ -32,7 +18,7 @@ let overhead_of_platform (plat : Platform.t) =
 let production_view ~policy ~platform tasks =
   make
     ~config:{ Config.default with Config.policy }
-    ~overhead_ns:(overhead_of_platform platform)
+    ~overhead_ns:(Admission.overhead_of_platform platform)
     tasks
 
 let raw_view ~policy tasks =

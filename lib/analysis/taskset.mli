@@ -23,18 +23,13 @@ type t = private {
 val make : ?config:Config.t -> ?overhead_ns:Time.ns -> Constraints.t list -> t
 (** Defaults: {!Hrt_core.Config.default} and zero overhead. *)
 
-val overhead_of_platform : Hrt_hw.Platform.t -> Time.ns
-(** The per-arrival scheduler overhead the runtime admission ledger
-    charges on this platform: two invocations of
-    [irq_dispatch + sched_pass + sched_other + ctx_switch] mean cycles
-    (the model {!Hrt_core.Local_sched} installs at boot). *)
-
 val production_view :
   policy:Config.policy -> platform:Hrt_hw.Platform.t -> Constraints.t list -> t
 (** The task set a runtime admission request would be judged against:
     default configuration under [policy] with the platform's measured
-    per-arrival overhead charged. Shared by [hrt_sim admit] and the
-    serving daemon so both answer from the same view. *)
+    per-arrival overhead ({!Hrt_core.Admission.overhead_of_platform})
+    charged. Shared by [hrt_sim admit] and the serving daemon so both
+    answer from the same view. *)
 
 val raw_view : policy:Config.policy -> Constraints.t list -> t
 (** The pure feasibility question: full CPU (utilization limit 1.0,

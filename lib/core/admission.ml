@@ -87,6 +87,19 @@ let create ?(overhead_ns = 0L) config =
     shed_boundary = 0;
   }
 
+(* Two invocations per arrival (the arrival and the timeout), each the
+   mean cost of interrupt dispatch, one scheduler pass, residual
+   bookkeeping and a context switch. *)
+let overhead_of_platform (plat : Hrt_hw.Platform.t) =
+  let open Hrt_hw in
+  let per_invocation =
+    plat.Platform.irq_dispatch.Platform.mean_cycles
+    +. plat.Platform.sched_pass.Platform.mean_cycles
+    +. plat.Platform.sched_other.Platform.mean_cycles
+    +. plat.Platform.ctx_switch.Platform.mean_cycles
+  in
+  Platform.cycles_to_ns plat (2. *. per_invocation)
+
 let periodic_util t = t.periodic_util
 let overhead_ns t = t.overhead_ns
 

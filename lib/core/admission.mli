@@ -91,6 +91,12 @@ val create : ?overhead_ns:Time.ns -> Config.t -> t
 (** [overhead_ns] is the scheduler's per-arrival overhead (two invocations)
     charged by the hyperperiod test; 0 by default. *)
 
+val overhead_of_platform : Hrt_hw.Platform.t -> Time.ns
+(** The per-arrival overhead on this platform: two invocations of
+    [irq_dispatch + sched_pass + sched_other + ctx_switch] mean cycles.
+    Every {!Local_sched} boots its ledger with it, and the analysis views
+    ([Hrt_analysis.Taskset.production_view]) charge the same figure. *)
+
 val periodic_util : t -> float
 (** Committed periodic utilization. *)
 

@@ -24,20 +24,22 @@ and t = {
   task_queue : Task.t;
   admission : Admission.t;
   account : Account.t;
-  mutable services : Thread.services;
+  services : Thread.services;
   mutable last_ctx : Thread.ctx option;
   mutable current : Thread.t option;
   mutable completion_ev : Engine.handle;
   mutable completion_gen : int;
   mutable completion_armed_gen : int;
   (* Cached engine events for the recurring per-CPU events (scheduler
-     pass requests, op completions, kick IPIs, steal polls), each a
-     closure built once at [create]; scheduling them allocates nothing. *)
+     pass requests, op completions, kick IPIs, steal polls, recovery
+     ticks), each a closure built once at [create]; scheduling them
+     allocates nothing. *)
   mutable soft_event : Engine.t -> unit;
   mutable complete_event : Engine.t -> unit;
   mutable kick_event : Engine.t -> unit;
   mutable kick_inner : Engine.t -> unit;
   mutable steal_event : Engine.t -> unit;
+  mutable recover_event : Engine.t -> unit;
   mutable steal_armed : bool;
   mutable busy_until : Time.ns;
   mutable clock_skew : Time.ns;
@@ -64,8 +66,6 @@ let cpu_id t = t.cpu.Machine.id
 let account t = t.account
 let admission t = t.admission
 let tasks t = t.task_queue
-let current t = t.current
-let services t = t.services
 let set_clock_skew t s = t.clock_skew <- s
 let clock_skew t = t.clock_skew
 let set_task_thread t th = t.task_thread <- Some th
@@ -113,9 +113,6 @@ let emit_wake t (th : Thread.t) now =
 
 let[@inline] sample t cost = Machine.sample t.shared.machine t.cpu cost
 
-let rt_queue_length t = Prio_queue.length t.rt_run
-let pending_length t = Prio_queue.length t.pending
-
 (* Aperiodic-queue wrappers maintain the machine-wide stealable count used
    as the cheap "is there anything to steal" signal. *)
 let aper_push_back t th =
@@ -127,11 +124,6 @@ let aper_push_front t th =
   t.shared.total_aper_queued <- t.shared.total_aper_queued + 1
 
 let aper_taken t = t.shared.total_aper_queued <- t.shared.total_aper_queued - 1
-
-let aper_load t =
-  let n = ref 0 in
-  Deque.iter t.aper_run (fun th -> if not th.Thread.bound then incr n);
-  !n
 
 (* ------------------------------------------------------------------ *)
 (* Serialization of the CPU: any event landing inside a busy window is
@@ -154,11 +146,6 @@ let run_gated t f =
 (* Pipeline stage 1 — charge: account the interrupted thread's progress
    (subtracting SMI "missing time") before any queue surgery. *)
 
-let rt_active (th : Thread.t) =
-  match th.constr with
-  | Constraints.Periodic _ | Constraints.Sporadic _ -> true
-  | Constraints.Aperiodic _ -> false
-
 let[@hrt.hot] charge_current t now =
   match t.current with
   | Some th when th.Thread.state = Thread.Running ->
@@ -168,7 +155,7 @@ let[@hrt.hot] charge_current t now =
       let progress = Time.max 0L Time.(now - start - frozen) in
       th.cpu_time <- Time.(th.cpu_time + progress);
       if th.has_op then th.work_left <- Time.max 0L Time.(th.work_left - progress);
-      if rt_active th then
+      if Constraints.is_realtime th.constr then
         th.slice_left <- Time.max 0L Time.(th.slice_left - progress)
       else th.quantum_left <- Time.max 0L Time.(th.quantum_left - progress);
       th.run_since <- now
@@ -260,17 +247,17 @@ let[@hrt.hot] rec pump t now =
     pump t now
   end
 
-(* ------------------------------------------------------------------ *)
 (* Miss detection: a runnable RT thread whose deadline passed while it was
    still owed slice time has missed. The miss *time* is recorded when the
    late slice finally completes. *)
 
+let missed_now t (th : Thread.t) now =
+  Constraints.is_realtime th.constr
+  && (not th.missed_current)
+  && Policy.missed (policy t) ~now th
+
 let flag_miss t (th : Thread.t) now =
-  if
-    rt_active th
-    && (not th.missed_current)
-    && Policy.missed (policy t) ~now th
-  then begin
+  if missed_now t th now then begin
     th.missed_current <- true;
     th.miss_deadline <- th.deadline;
     th.misses <- th.misses + 1;
@@ -284,9 +271,6 @@ let flag_miss t (th : Thread.t) now =
              crit = Constraints.crit_name th.crit;
            })
   end
-
-let missed_now t (th : Thread.t) now =
-  rt_active th && (not th.missed_current) && Policy.missed (policy t) ~now th
 
 (* The baseline (no-degradation) miss pass; with [Config.degradation] the
    invoke pipeline runs [degrade_on_misses] instead. *)
@@ -310,6 +294,87 @@ let record_miss_completion t (th : Thread.t) now =
     th.missed_current <- false
   end
 
+(* The end of a real-time arrival, whether its slice ran out (settle) or
+   degradation throttled it: a periodic thread waits for its next
+   arrival, a sporadic one continues as an aperiodic thread. *)
+let end_rt_arrival t (th : Thread.t) now =
+  record_miss_completion t th now;
+  emit_complete t th now;
+  match th.constr with
+  | Constraints.Periodic { period; _ } ->
+    (* Skip only arrivals whose whole period has already elapsed: a small
+       overrun still gets (what remains of) the next period. *)
+    while Time.(th.next_arrival + period <= now) do
+      th.next_arrival <- Time.(th.next_arrival + period)
+    done;
+    th.state <- Thread.Pending_arrival;
+    pend t th
+  | Constraints.Sporadic { aper_prio; _ } ->
+    (* The guaranteed size is consumed: continue as an aperiodic thread. *)
+    Admission.release t.admission th.constr;
+    th.constr <- Constraints.Aperiodic { prio = aper_prio };
+    th.quantum_left <- (config t).Config.aperiodic_quantum;
+    th.state <- Thread.Ready;
+    aper_push_back t th
+  | Constraints.Aperiodic _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Wakes. [wake_enqueue] places a blocked thread back in the right queue
+   without requesting a pass (the cross-CPU path lets the kick IPI do
+   that); [wake_sched] is the local path. *)
+
+let request_invoke t =
+  if not t.soft_pending then begin
+    t.soft_pending <- true;
+    ignore (Engine.schedule_after (engine t) ~after:0L t.soft_event)
+  end
+
+let wake_enqueue t (th : Thread.t) =
+  if th.Thread.state = Thread.Blocked && th.cpu = cpu_id t then begin
+    let now = Engine.now (engine t) in
+    (* Spin-wait semantics: a real thread polls the flag, burning its
+       guaranteed time, so the blocked interval is charged against the
+       slice (capped). Pure sleeps are not charged. *)
+    (if th.spin_block && Constraints.is_realtime th.constr then begin
+       let waited = Time.max 0L Time.(now - th.block_start) in
+       th.slice_left <- Time.max 0L Time.(th.slice_left - waited)
+     end);
+    match th.constr with
+    | Constraints.Aperiodic _ ->
+      emit_wake t th now;
+      th.state <- Thread.Ready;
+      if Time.(th.quantum_left <= 0L) then
+        th.quantum_left <- (config t).Config.aperiodic_quantum;
+      aper_push_back t th
+    | Constraints.Periodic { period; _ }
+      when Time.(th.slice_left <= 0L || th.deadline <= now) ->
+      (* Rejoin the arrival schedule at the latest arrival point <= now
+         (or the already-pending future arrival). The pending pump turns
+         it into a proper arrival; the blocked-through arrival is over.
+         Like the wake itself, this can run at a remote waker's clock,
+         inside this CPU's busy window — stamp the completion at the
+         serialization point so the per-CPU trace stays monotone. *)
+      emit_complete t th (Time.max now t.busy_until);
+      while Time.(th.next_arrival + period <= now) do
+        th.next_arrival <- Time.(th.next_arrival + period)
+      done;
+      th.missed_current <- false;
+      th.slice_left <- 0L;
+      th.state <- Thread.Pending_arrival;
+      pend t th
+    | Constraints.Periodic _ | Constraints.Sporadic _ ->
+      (* Resume the current arrival (a sporadic thread always does). *)
+      emit_wake t th now;
+      th.state <- Thread.Ready;
+      ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
+  end
+
+let wake_sched t (th : Thread.t) =
+  if th.Thread.state = Thread.Blocked then begin
+    wake_enqueue t th;
+    request_invoke t
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Thread body advancement: pull ops until the thread has CPU work to do or
    leaves the runnable set. Side effects inside bodies are instantaneous. *)
@@ -317,7 +382,7 @@ let record_miss_completion t (th : Thread.t) now =
 let do_set_constraints t (th : Thread.t) c cb now =
   (* Whether the thread is abandoning an in-flight real-time arrival: it is
      executing this op, so an RT constraint implies an active arrival. *)
-  let was_rt = rt_active th in
+  let was_rt = Constraints.is_realtime th.constr in
   let verdict =
     Admission.request t.admission ~now ~crit:th.crit ~old_constr:th.constr c
   in
@@ -341,7 +406,8 @@ let do_set_constraints t (th : Thread.t) c cb now =
     th.quantum_left <- (config t).Config.aperiodic_quantum;
     th.state <- Thread.Ready;
     aper_push_back t th
-  | Constraints.Periodic { phase; _ } when ok ->
+  | (Constraints.Periodic { phase; _ } | Constraints.Sporadic { phase; _ })
+    when ok ->
     if was_rt then emit_complete t th now;
     th.next_arrival <- Time.(now + phase);
     th.slice_left <- 0L;
@@ -350,14 +416,6 @@ let do_set_constraints t (th : Thread.t) c cb now =
     pend t th;
     (* A zero-phase first arrival is due immediately; pump here because
        this can run after the invocation's own pumps (pick phase). *)
-    pump t now
-  | Constraints.Sporadic { phase; _ } when ok ->
-    if was_rt then emit_complete t th now;
-    th.next_arrival <- Time.(now + phase);
-    th.slice_left <- 0L;
-    th.missed_current <- false;
-    th.state <- Thread.Pending_arrival;
-    pend t th;
     pump t now
   | Constraints.Periodic _ | Constraints.Sporadic _ ->
     (* Admission failed mid-arrival: the thread keeps its old (admitted)
@@ -391,11 +449,8 @@ let body_ctx t (th : Thread.t) =
     t.last_ctx <- Some c;
     c
 
-(* Returns true when the thread is runnable with CPU work in hand. *)
-let rec advance t (th : Thread.t) now = advance_ops t th now (body_ctx t th) 1
-
 (* [n] counts the ops pulled by this [advance], the livelock guard. *)
-and advance_ops t (th : Thread.t) now ctx n =
+let rec advance_ops t (th : Thread.t) now ctx n =
   if th.has_op then true
   else begin
     if n > 1024 then
@@ -418,7 +473,7 @@ and advance_ops t (th : Thread.t) now ctx n =
       end
     | Thread.Yield ->
       th.state <- Thread.Ready;
-      (if rt_active th then
+      (if Constraints.is_realtime th.constr then
          ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
        else begin
          th.quantum_left <- (config t).Config.aperiodic_quantum;
@@ -449,85 +504,13 @@ and advance_ops t (th : Thread.t) now ctx n =
       do_set_constraints t th c cb now;
       false
     | Thread.Exit ->
-      if rt_active th then emit_complete t th now;
+      if Constraints.is_realtime th.constr then emit_complete t th now;
       exit_thread t th;
       false
   end
 
-(* ------------------------------------------------------------------ *)
-(* Wakes. [wake_enqueue] places a blocked thread back in the right queue
-   without requesting a pass (the cross-CPU path lets the kick IPI do
-   that); [wake_sched] is the local path. *)
-
-and wake_enqueue t (th : Thread.t) =
-  if th.Thread.state = Thread.Blocked && th.cpu = cpu_id t then begin
-    let now = Engine.now (engine t) in
-    (* Spin-wait semantics: a real thread polls the flag, burning its
-       guaranteed time, so the blocked interval is charged against the
-       slice (capped). Pure sleeps are not charged. *)
-    (if th.spin_block && rt_active th then begin
-       let waited = Time.max 0L Time.(now - th.block_start) in
-       th.slice_left <- Time.max 0L Time.(th.slice_left - waited)
-     end);
-    (match th.constr with
-    | Constraints.Aperiodic _ ->
-      emit_wake t th now;
-      th.state <- Thread.Ready;
-      if Time.(th.quantum_left <= 0L) then
-        th.quantum_left <- (config t).Config.aperiodic_quantum;
-      aper_push_back t th
-    | Constraints.Sporadic _ ->
-      emit_wake t th now;
-      th.state <- Thread.Ready;
-      ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
-    | Constraints.Periodic { period; _ } ->
-      if Time.(th.slice_left > 0L) && Time.(th.deadline > now) then begin
-        (* Resume the current arrival. *)
-        emit_wake t th now;
-        th.state <- Thread.Ready;
-        ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
-      end
-      else begin
-        (* Rejoin the arrival schedule at the latest arrival point <= now
-           (or the already-pending future arrival). The pending pump turns
-           it into a proper arrival; the blocked-through arrival is over.
-           Like the wake itself, this can run at a remote waker's clock,
-           inside this CPU's busy window — stamp the completion at the
-           serialization point so the per-CPU trace stays monotone. *)
-        emit_complete t th (Time.max now t.busy_until);
-        while Time.(th.next_arrival + period <= now) do
-          th.next_arrival <- Time.(th.next_arrival + period)
-        done;
-        th.missed_current <- false;
-        th.slice_left <- 0L;
-        th.state <- Thread.Pending_arrival;
-        pend t th
-      end)
-  end
-
-and wake_sched t (th : Thread.t) =
-  if th.Thread.state = Thread.Blocked then begin
-    wake_enqueue t th;
-    request_invoke t
-  end
-
-and request_invoke t =
-  if not t.soft_pending then begin
-    t.soft_pending <- true;
-    ignore (Engine.schedule_after (engine t) ~after:0L t.soft_event)
-  end
-
-(* The handler behind [t.soft_event]: gated on the busy window like
-   every scheduler entry, but by parking the event itself
-   ([Engine.defer_current] — fresh sequence number, no allocation)
-   instead of scheduling a bounce closure. *)
-and soft_entry t eng =
-  if Time.(Engine.now eng < t.busy_until) then
-    Engine.defer_current eng ~at:t.busy_until
-  else begin
-    t.soft_pending <- false;
-    invoke t eng ~irq_ns:0L ~handler_ns:0L
-  end
+(* Returns true when the thread is runnable with CPU work in hand. *)
+let advance t (th : Thread.t) now = advance_ops t th now (body_ctx t th) 1
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation (DESIGN §8). With [Config.degradation] on, the
@@ -545,9 +528,9 @@ and soft_entry t eng =
    raised boundary), then the Deadline_miss events (while each arrival
    is still in flight), then Shed/Demote with their retiring Completes. *)
 
-and crit_rank_of (th : Thread.t) = Constraints.crit_rank th.Thread.crit
+let crit_rank_of (th : Thread.t) = Constraints.crit_rank th.Thread.crit
 
-and emit_overload t now rank =
+let emit_overload t now rank =
   if obs_on t then
     obs_emit t ~time:now
       (Obs.Event.Overload
@@ -557,7 +540,7 @@ and emit_overload t now rank =
               else Constraints.crit_name (Constraints.crit_of_rank rank));
          })
 
-and emit_shed t (th : Thread.t) now =
+let emit_shed t (th : Thread.t) now =
   if obs_on t then
     obs_emit t ~time:now
       (Obs.Event.Shed
@@ -567,7 +550,7 @@ and emit_shed t (th : Thread.t) now =
            crit = Constraints.crit_name th.crit;
          })
 
-and shed_thread t (th : Thread.t) now ~in_flight =
+let shed_thread t (th : Thread.t) now ~in_flight =
   (* Revoke the RT constraints (remembering them, and the stealability
      the thread had, for recovery) and continue it as a priority-0
      aperiodic thread pinned to its home CPU. *)
@@ -584,42 +567,33 @@ and shed_thread t (th : Thread.t) now ~in_flight =
   t.sheds <- t.sheds + 1;
   emit_shed t th now
 
-and shed_below t now =
+let shed_below t now =
   let b = t.boundary in
-  let rec drain_rt () =
-    match Prio_queue.remove t.rt_run (fun th -> crit_rank_of th < b) with
+  (* The run queue first (an arrival is in flight there: retire it), then
+     the pending queue (waiting for its next arrival: nothing to retire). *)
+  let rec drain q ~in_flight =
+    match Prio_queue.remove q (fun th -> crit_rank_of th < b) with
     | Some th ->
-      (* In the RT run queue: an arrival is in flight; retire it. *)
-      shed_thread t th now ~in_flight:true;
+      shed_thread t th now ~in_flight;
       th.state <- Thread.Ready;
       aper_push_back t th;
-      drain_rt ()
+      drain q ~in_flight
     | None -> ()
   in
-  drain_rt ();
-  let rec drain_pending () =
-    match Prio_queue.remove t.pending (fun th -> crit_rank_of th < b) with
-    | Some th ->
-      (* Waiting for its next arrival: nothing in flight to retire. *)
-      shed_thread t th now ~in_flight:false;
-      th.state <- Thread.Ready;
-      aper_push_back t th;
-      drain_pending ()
-    | None -> ()
-  in
-  drain_pending ();
+  drain t.rt_run ~in_flight:true;
+  drain t.pending ~in_flight:false;
   match t.current with
-  | Some th when rt_active th && crit_rank_of th < b ->
+  | Some th when Constraints.is_realtime th.constr && crit_rank_of th < b ->
     (* The interrupted thread itself: revoke in place — the settle stage
        sees an aperiodic thread and requeues it accordingly. *)
     shed_thread t th now ~in_flight:true
   | Some _ | None -> ()
 
-and throttle t (th : Thread.t) now =
+let throttle t (th : Thread.t) now =
   (* A missed thread at or above the boundary keeps its guarantee going
      forward but forfeits the late arrival: budget enforcement means an
      overrun is cut off at its deadline, not allowed to steal slack. *)
-  if rt_active th && th.missed_current then begin
+  if Constraints.is_realtime th.constr && th.missed_current then begin
     t.demotes <- t.demotes + 1;
     if obs_on t then
       obs_emit t ~time:now (Obs.Event.Demote { tid = th.id; thread = th.name });
@@ -635,7 +609,15 @@ and throttle t (th : Thread.t) now =
     | Thread.Blocked | Thread.Pending_arrival | Thread.Exited -> ()
   end
 
-and degrade_on_misses t now =
+let arm_recovery t =
+  if not t.recover_armed then begin
+    t.recover_armed <- true;
+    ignore
+      (Engine.schedule_after (engine t)
+         ~after:(config t).Config.shed_recovery t.recover_event)
+  end
+
+let degrade_on_misses t now =
   let missed = ref [] in
   let consider th = if missed_now t th now then missed := th :: !missed in
   (match t.current with Some th -> consider th | None -> ());
@@ -656,44 +638,7 @@ and degrade_on_misses t now =
     List.iter (fun th -> throttle t th now) misses;
     arm_recovery t
 
-and arm_recovery t =
-  if not t.recover_armed then begin
-    t.recover_armed <- true;
-    ignore
-      (Engine.schedule_after (engine t)
-         ~after:(config t).Config.shed_recovery
-         (run_gated t (recovery_tick t)))
-  end
-
-and recovery_tick t eng =
-  t.recover_armed <- false;
-  if t.boundary > 0 then begin
-    let now = Engine.now eng in
-    let quiet_at = Time.(t.last_miss + (config t).Config.shed_recovery) in
-    if Time.(now < quiet_at) then begin
-      (* A miss happened since arming: wait out the rest of the quiet
-         window. *)
-      t.recover_armed <- true;
-      ignore (Engine.schedule eng ~at:quiet_at (run_gated t (recovery_tick t)))
-    end
-    else begin
-      (* Lift the admission block while re-requesting; re-imposed below
-         if some threads could not come back yet. *)
-      Admission.clear_overload t.admission;
-      recover_shed t now;
-      if t.shed_list = [] then begin
-        t.boundary <- 0;
-        emit_overload t now 0
-      end
-      else begin
-        Admission.set_overload t.admission ~boundary:t.boundary;
-        arm_recovery t
-      end;
-      invoke t eng ~irq_ns:0L ~handler_ns:0L
-    end
-  end
-
-and recover_shed t now =
+let recover_shed t now =
   (* Highest criticality first, so contention for the freed capacity
      resolves in favor of the threads that matter most. Only threads
      parked in this CPU's aperiodic queue can be re-anchored cleanly;
@@ -722,7 +667,7 @@ and recover_shed t now =
              tick. *)
           let was_blocked = th.state = Thread.Blocked in
           let taken =
-            if rt_active th then false
+            if Constraints.is_realtime th.constr then false
             else if was_blocked then true
             else
               th.state = Thread.Ready
@@ -784,35 +729,14 @@ and recover_shed t now =
    [t.current] is [None] and any still-runnable previous thread sits in
    the proper queue (re-keyed by the policy). *)
 
-and end_rt_arrival t (th : Thread.t) now =
-  record_miss_completion t th now;
-  emit_complete t th now;
-  match th.constr with
-  | Constraints.Periodic { period; _ } ->
-    (* Skip only arrivals whose whole period has already elapsed: a small
-       overrun still gets (what remains of) the next period. *)
-    while Time.(th.next_arrival + period <= now) do
-      th.next_arrival <- Time.(th.next_arrival + period)
-    done;
-    th.state <- Thread.Pending_arrival;
-    pend t th
-  | Constraints.Sporadic { aper_prio; _ } ->
-    (* The guaranteed size is consumed: continue as an aperiodic thread. *)
-    Admission.release t.admission th.constr;
-    th.constr <- Constraints.Aperiodic { prio = aper_prio };
-    th.quantum_left <- (config t).Config.aperiodic_quantum;
-    th.state <- Thread.Ready;
-    aper_push_back t th
-  | Constraints.Aperiodic _ -> assert false
-
-and settle_current t now =
+let settle_current t now =
   match t.current with
   | None -> ()
   | Some th ->
     t.current <- None;
     if th.Thread.state = Thread.Running then begin
       if th.has_op && Time.(th.work_left <= 0L) then th.has_op <- false;
-      if rt_active th && Time.(th.slice_left <= 0L) then begin
+      if Constraints.is_realtime th.constr && Time.(th.slice_left <= 0L) then begin
         (* Slice/size consumed for this arrival. *)
         th.state <- Thread.Ready;
         end_rt_arrival t th now
@@ -821,7 +745,7 @@ and settle_current t now =
         th.state <- Thread.Ready;
         if advance t th now then begin
           (* Still runnable: requeue for the picker. *)
-          if rt_active th then begin
+          if Constraints.is_realtime th.constr then begin
             if th.state = Thread.Ready then
               ignore (Prio_queue.add t.rt_run ~key:(rt_key t th) th)
           end
@@ -842,10 +766,27 @@ and settle_current t now =
 
 (* ------------------------------------------------------------------ *)
 (* Size-tagged task execution (only when no RT thread wants the CPU, and
-   only while the next RT arrival leaves room — §3.1). Returns the busy
-   time consumed. *)
+   only while the next RT arrival leaves room — §3.1). *)
 
-and run_sized_tasks t now =
+(* Run sized tasks while they fit before the next arrival; [consumed] is
+   the busy time used so far. *)
+let rec run_fitting_tasks t now consumed =
+  let fits =
+    if Prio_queue.is_empty t.pending then Time.sec 1
+    else Time.(Prio_queue.min_key t.pending - now - consumed)
+  in
+  if Time.(fits <= 0L) then consumed
+  else
+    match Task.take_sized t.task_queue ~fits with
+    | Some task ->
+      let consumed = Time.(consumed + task.Task.duration) in
+      task.Task.run ();
+      Task.complete t.task_queue task ~now:Time.(now + consumed);
+      run_fitting_tasks t now consumed
+    | None -> consumed
+
+(* Returns the busy time consumed. *)
+let run_sized_tasks t now =
   if not (Prio_queue.is_empty t.rt_run) then 0L
   else begin
     let consumed =
@@ -861,30 +802,13 @@ and run_sized_tasks t now =
     consumed
   end
 
-(* Run sized tasks while they fit before the next arrival; [consumed] is
-   the busy time used so far. *)
-and run_fitting_tasks t now consumed =
-  let fits =
-    if Prio_queue.is_empty t.pending then Time.sec 1
-    else Time.(Prio_queue.min_key t.pending - now - consumed)
-  in
-  if Time.(fits <= 0L) then consumed
-  else
-    match Task.take_sized t.task_queue ~fits with
-    | Some task ->
-      let consumed = Time.(consumed + task.Task.duration) in
-      task.Task.run ();
-      Task.complete t.task_queue task ~now:Time.(now + consumed);
-      run_fitting_tasks t now consumed
-    | None -> consumed
-
 (* ------------------------------------------------------------------ *)
 (* Pipeline stage 4 — pick: next-thread selection. The RT run queue head
    (already policy-ordered) wins, subject to the dispatch mode's
    lazy-start test; then priority round-robin over aperiodics; else
    idle. *)
 
-and take_best_aper t =
+let take_best_aper t =
   (* Highest priority wins; FIFO (deque order) within a priority. The scan
      is bounded by the compile-time thread limit, preserving the bounded-
      pass-cost argument. *)
@@ -905,9 +829,10 @@ and take_best_aper t =
                   result"]
 [@@hrt.hot]
 
-and pick t now = pick_bounded t now 0 [@@hrt.hot]
-
-and pick_bounded t now depth =
+(* A candidate with no CPU work in hand is advanced; one that leaves the
+   runnable set instead sends the pick round again. [depth] bounds the
+   rounds, the livelock guard. *)
+let rec pick_from t now depth =
   if depth > (2 * (config t).Config.max_threads) + 16 then
     failwith
       "local_sched: livelock: a thread body re-issues a non-Compute op \
@@ -924,23 +849,21 @@ and pick_bounded t now depth =
       in
       Time.(now >= latest) || th.missed_current
   in
-  if rt_ready then begin
-    let th = Prio_queue.min_value t.rt_run in
-    Prio_queue.drop_min t.rt_run;
-    prepare t th now depth
-  end
-  else
-    match take_best_aper t with
-    | Some th -> prepare t th now depth
-    | None -> None
+  let next =
+    if rt_ready then begin
+      let th = Prio_queue.min_value t.rt_run in
+      Prio_queue.drop_min t.rt_run;
+      (Some th [@hrt.alloc_ok "one boxed pick result per scheduler decision"])
+    end
+    else take_best_aper t
+  in
+  match next with
+  | Some th when not (th.Thread.has_op || advance t th now) ->
+    pick_from t now (depth + 1)
+  | Some _ | None -> next
 [@@hrt.hot]
 
-and prepare t (th : Thread.t) now depth =
-  (if th.has_op then Some th
-   else if advance t th now then Some th
-   else pick_bounded t now (depth + 1))
-  [@hrt.alloc_ok "one boxed pick result per scheduler decision"]
-[@@hrt.hot]
+let pick t now = pick_from t now 0 [@@hrt.hot]
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline stage 5 — program-timer: one one-shot armed at the earliest
@@ -949,7 +872,7 @@ and prepare t (th : Thread.t) now depth =
    targets are reached when the local (skewed) clock says so; durations
    are unaffected by clock skew. *)
 
-and program_timer t now resume_at =
+let program_timer t now resume_at =
   let cfg = config t in
   (* Fold the candidate targets straight into a running minimum: this
      runs once per scheduler decision and builds no intermediate lists.
@@ -966,7 +889,7 @@ and program_timer t now resume_at =
   in
   let best =
     match t.current with
-    | Some th when rt_active th ->
+    | Some th when Constraints.is_realtime th.constr ->
       let best =
         if Time.(th.deadline > now) then
           Time.min best Time.(th.deadline - t.clock_skew)
@@ -991,7 +914,7 @@ and program_timer t now resume_at =
   else Apic.arm t.cpu.Machine.apic ~at:(Time.max best Time.(now + 1L))
 [@@hrt.hot]
 
-and schedule_completion t resume_at =
+let schedule_completion t resume_at =
   match t.current with
   | Some th when th.Thread.has_op && Time.(th.work_left > 0L) ->
     let at = Time.(resume_at + th.work_left) in
@@ -1001,59 +924,10 @@ and schedule_completion t resume_at =
   | Some _ | None -> ()
 [@@hrt.hot]
 
-(* The handler behind [t.complete_event]: gate first, then drop the
-   fire if a cancel/re-schedule happened while it sat deferred behind a
-   busy window. *)
-and complete_entry t eng =
-  if Time.(Engine.now eng < t.busy_until) then
-    Engine.defer_current eng ~at:t.busy_until
-  else if t.completion_armed_gen = t.completion_gen then begin
-    t.completion_ev <- Engine.no_handle;
-    on_completion t eng
-  end
-[@@hrt.hot]
-
-(* Op completion is a thread-level transition, not an interrupt. When the
-   thread simply continues computing (the common BSP inner loop) no
-   scheduler pass happens at all — the thread never entered the kernel. A
-   full invocation is only needed when the thread does something the
-   scheduler must see, or when its budget ran out. *)
-and on_completion t eng =
-  let now = Engine.now eng in
-  match t.current with
-  | Some th when th.Thread.state = Thread.Running ->
-    charge_current t now;
-    if th.has_op && Time.(th.work_left > 0L) then
-      (* An SMI (or interrupt) stole part of the run: keep going. *)
-      schedule_completion t now
-    else begin
-      th.has_op <- false;
-      let budget_ok =
-        if rt_active th then Time.(th.slice_left > 0L)
-        else Time.(th.quantum_left > 0L)
-      in
-      if not budget_ok then invoke t eng ~irq_ns:0L ~handler_ns:0L
-      else begin
-        match th.body (body_ctx t th) with
-        | Thread.Compute w when Time.(w > 0L) ->
-          th.has_op <- true;
-          th.work_left <- inflate th w;
-          schedule_completion t now
-        | op ->
-          (* Anything else goes through the scheduler proper. *)
-          th.stashed_op <-
-            (Some op [@hrt.alloc_ok "stashes the non-compute op for the \
-                                     pass; one box per kernel entry"]);
-          invoke t eng ~irq_ns:0L ~handler_ns:0L
-      end
-    end
-  | Some _ | None -> invoke t eng ~irq_ns:0L ~handler_ns:0L
-[@@hrt.hot]
-
 (* ------------------------------------------------------------------ *)
 (* Work stealing (the idle thread's job, §3.4). *)
 
-and arm_steal t =
+let arm_steal t =
   (* The idle thread polls for stealable work: fast when the machine has
      queued aperiodic threads, slow (1 ms) otherwise so quiescent systems
      stay cheap to simulate. *)
@@ -1067,21 +941,24 @@ and arm_steal t =
     ignore (Engine.schedule_after (engine t) ~after:interval t.steal_event)
   end
 
-(* The handler behind [t.steal_event]. Gated like every other
-   scheduler entry: the idle thread cannot poll while the CPU is
-   serialized in a pass or handler, and gating keeps steal-attempt events
-   inside the CPU's monotone timeline. *)
-and steal_entry t eng =
-  if Time.(Engine.now eng < t.busy_until) then
-    Engine.defer_current eng ~at:t.busy_until
-  else begin
-    t.steal_armed <- false;
-    if t.current = None then
-      if t.shared.total_aper_queued > 0 then attempt_steal t eng
-      else arm_steal t
-  end
+(* Stealable aperiodic threads queued here: the victim-choice load. *)
+let aper_load t =
+  let n = ref 0 in
+  Deque.iter t.aper_run (fun th -> if not th.Thread.bound then incr n);
+  !n
 
-and attempt_steal t eng =
+(* Remove the oldest unbound ready aperiodic thread, for a thief. *)
+let try_steal_from t =
+  match
+    Deque.remove t.aper_run (fun (th : Thread.t) ->
+        (not th.bound) && th.state = Thread.Ready)
+  with
+  | Some th ->
+    aper_taken t;
+    Some th
+  | None -> None
+
+let attempt_steal t eng =
   let n = Array.length t.shared.scheds in
   let victim =
     Worksteal.pick_victim t.cpu.Machine.rng ~self:(cpu_id t) ~n ~load:(fun i ->
@@ -1094,9 +971,9 @@ and attempt_steal t eng =
       obs_emit t ~time:(Engine.now eng)
         (Obs.Event.Steal_attempt { victim; success })
   in
-  (match victim with
+  match victim with
   | Some v -> (
-    match try_steal_from t.shared.scheds.(v) ~thief_cpu:(cpu_id t) with
+    match try_steal_from t.shared.scheds.(v) with
     | Some th ->
       emit_attempt (Some v) true;
       th.Thread.cpu <- cpu_id t;
@@ -1108,18 +985,21 @@ and attempt_steal t eng =
       arm_steal t)
   | None ->
     emit_attempt None false;
-    arm_steal t)
+    arm_steal t
 
-and try_steal_from t ~thief_cpu =
-  ignore thief_cpu;
-  match
-    Deque.remove t.aper_run (fun (th : Thread.t) ->
-        (not th.bound) && th.state = Thread.Ready)
-  with
-  | Some th ->
-    aper_taken t;
-    Some th
-  | None -> None
+(* The handler behind [t.steal_event]. Gated like every other
+   scheduler entry: the idle thread cannot poll while the CPU is
+   serialized in a pass or handler, and gating keeps steal-attempt events
+   inside the CPU's monotone timeline. *)
+let steal_entry t eng =
+  if Time.(Engine.now eng < t.busy_until) then
+    Engine.defer_current eng ~at:t.busy_until
+  else begin
+    t.steal_armed <- false;
+    if t.current = None then
+      if t.shared.total_aper_queued > 0 then attempt_steal t eng
+      else arm_steal t
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The invocation itself: the staged pipeline in order —
@@ -1127,7 +1007,7 @@ and try_steal_from t ~thief_cpu =
    policy-agnostic; policy decisions happen through the [Policy.t] the
    shared state carries (run-queue keys, miss checks, lazy horizons). *)
 
-and invoke t eng ~irq_ns ~handler_ns =
+let invoke t eng ~irq_ns ~handler_ns =
   let now = Engine.now eng in
   let prev = t.current in
   cancel_completion t;
@@ -1208,7 +1088,7 @@ and invoke t eng ~irq_ns ~handler_ns =
     arm_steal t);
   Apic.set_ppr t.cpu.Machine.apic eng
     (match next with
-    | Some th when rt_active th -> Apic.rt_ppr
+    | Some th when Constraints.is_realtime th.constr -> Apic.rt_ppr
     | Some _ | None -> 0);
   schedule_completion t resume_at;
   (* program-timer *)
@@ -1216,7 +1096,103 @@ and invoke t eng ~irq_ns ~handler_ns =
 [@@hrt.hot]
 
 (* ------------------------------------------------------------------ *)
-(* Entry points. *)
+(* Entry points: every way into [invoke]. *)
+
+(* The handler behind [t.soft_event]: gated on the busy window like
+   every scheduler entry, but by parking the event itself
+   ([Engine.defer_current] — fresh sequence number, no allocation)
+   instead of scheduling a bounce closure. *)
+let soft_entry t eng =
+  if Time.(Engine.now eng < t.busy_until) then
+    Engine.defer_current eng ~at:t.busy_until
+  else begin
+    t.soft_pending <- false;
+    invoke t eng ~irq_ns:0L ~handler_ns:0L
+  end
+
+(* Op completion is a thread-level transition, not an interrupt. When the
+   thread simply continues computing (the common BSP inner loop) no
+   scheduler pass happens at all — the thread never entered the kernel. A
+   full invocation is only needed when the thread does something the
+   scheduler must see, or when its budget ran out. *)
+let on_completion t eng =
+  let now = Engine.now eng in
+  match t.current with
+  | Some th when th.Thread.state = Thread.Running ->
+    charge_current t now;
+    if th.has_op && Time.(th.work_left > 0L) then
+      (* An SMI (or interrupt) stole part of the run: keep going. *)
+      schedule_completion t now
+    else begin
+      th.has_op <- false;
+      let budget_ok =
+        if Constraints.is_realtime th.constr then Time.(th.slice_left > 0L)
+        else Time.(th.quantum_left > 0L)
+      in
+      if not budget_ok then invoke t eng ~irq_ns:0L ~handler_ns:0L
+      else begin
+        match th.body (body_ctx t th) with
+        | Thread.Compute w when Time.(w > 0L) ->
+          th.has_op <- true;
+          th.work_left <- inflate th w;
+          schedule_completion t now
+        | op ->
+          (* Anything else goes through the scheduler proper. *)
+          th.stashed_op <-
+            (Some op [@hrt.alloc_ok "stashes the non-compute op for the \
+                                     pass; one box per kernel entry"]);
+          invoke t eng ~irq_ns:0L ~handler_ns:0L
+      end
+    end
+  | Some _ | None -> invoke t eng ~irq_ns:0L ~handler_ns:0L
+[@@hrt.hot]
+
+(* The handler behind [t.complete_event]: gate first, then drop the
+   fire if a cancel/re-schedule happened while it sat deferred behind a
+   busy window. *)
+let complete_entry t eng =
+  if Time.(Engine.now eng < t.busy_until) then
+    Engine.defer_current eng ~at:t.busy_until
+  else if t.completion_armed_gen = t.completion_gen then begin
+    t.completion_ev <- Engine.no_handle;
+    on_completion t eng
+  end
+[@@hrt.hot]
+
+(* The handler behind [t.recover_event] (gated): after
+   [Config.shed_recovery] of quiet time, re-admit what was shed. *)
+let recovery_tick t eng =
+  t.recover_armed <- false;
+  if t.boundary > 0 then begin
+    let now = Engine.now eng in
+    let quiet_at = Time.(t.last_miss + (config t).Config.shed_recovery) in
+    if Time.(now < quiet_at) then begin
+      (* A miss happened since arming: wait out the rest of the quiet
+         window. *)
+      t.recover_armed <- true;
+      ignore (Engine.schedule eng ~at:quiet_at t.recover_event)
+    end
+    else begin
+      (* Lift the admission block while re-requesting; re-imposed below
+         if some threads could not come back yet. *)
+      Admission.clear_overload t.admission;
+      recover_shed t now;
+      if t.shed_list = [] then begin
+        t.boundary <- 0;
+        emit_overload t now 0
+      end
+      else begin
+        Admission.set_overload t.admission ~boundary:t.boundary;
+        arm_recovery t
+      end;
+      invoke t eng ~irq_ns:0L ~handler_ns:0L
+    end
+  end
+
+(* An interrupt entry (timer, kick IPI, device): interrupt dispatch plus
+   the handler's own cost, then a pass. *)
+let[@hrt.hot] irq_entry t ~handler_ns eng =
+  invoke t eng ~irq_ns:(sample t (platform t).Platform.irq_dispatch) ~handler_ns
 
 let[@hrt.hot] on_timer t eng =
   (* A one-shot APIC holds exactly one shot in flight. If the timer is
@@ -1226,32 +1202,27 @@ let[@hrt.hot] on_timer t eng =
      a slice remainder smaller than the pass overhead livelocks: each
      stale fire lands at the next dispatch instant, charges zero
      progress, and re-arms at the same relative offset. *)
-  if not (Apic.timer_armed t.cpu.Machine.apic) then begin
-    let irq_ns = sample t (platform t).Platform.irq_dispatch in
-    invoke t eng ~irq_ns ~handler_ns:0L
-  end
+  if not (Apic.timer_armed t.cpu.Machine.apic) then
+    irq_entry t ~handler_ns:0L eng
 
 let wake t th = wake_sched t th
 
-let kick t ~from =
-  ignore from;
+(* A kick IPI to this CPU: it reaches the APIC after the wire latency
+   ([kick_entry]); the APIC then delivers the cached [kick_inner] (gated
+   scheduler entry) or holds it pending by PPR. *)
+let kick t =
   Account.record_kick t.account;
   let latency = sample t (platform t).Platform.ipi_latency in
   ignore (Engine.schedule_after (engine t) ~after:latency t.kick_event)
 
-(* The handler behind [t.kick_event]: the IPI reaching this
-   CPU's APIC after the wire latency. The APIC then delivers the cached
-   [kick_inner] (gated scheduler entry) or holds it pending by PPR. *)
 let kick_entry t eng =
   Apic.deliver t.cpu.Machine.apic eng ~prio:Apic.sched_prio t.kick_inner
 
 let on_device_irq t ~handler_ns =
-  let eng = engine t in
-  run_gated t
-    (fun eng ->
-      let irq_ns = sample t (platform t).Platform.irq_dispatch in
-      invoke t eng ~irq_ns ~handler_ns)
-    eng
+  run_gated t (irq_entry t ~handler_ns) (engine t)
+
+(* ------------------------------------------------------------------ *)
+(* Arrival-schedule edits, enrolment, measurement. *)
 
 let set_next_arrival t (th : Thread.t) arrival =
   match th.state with
@@ -1274,10 +1245,11 @@ let set_next_arrival t (th : Thread.t) arrival =
   | Thread.Exited -> ()
 
 let rephase t (th : Thread.t) ~delta =
-  if rt_active th then set_next_arrival t th Time.(th.next_arrival + delta)
+  if Constraints.is_realtime th.constr then
+    set_next_arrival t th Time.(th.next_arrival + delta)
 
 let reanchor t (th : Thread.t) ~first_arrival =
-  if rt_active th then set_next_arrival t th first_arrival
+  if Constraints.is_realtime th.constr then set_next_arrival t th first_arrival
 
 let enroll t (th : Thread.t) =
   th.cpu <- cpu_id t;
@@ -1295,25 +1267,26 @@ let idle_time t =
   | None -> t.idle_total
   | Some s -> Time.(t.idle_total + (Engine.now (engine t) - s))
 
-let make_services t =
+(* The kernel services bodies on [cpu] are handed. *)
+let make_services shared (cpu : Machine.cpu) =
   {
-    Thread.now = (fun () -> Engine.now (engine t));
+    Thread.now = (fun () -> Engine.now shared.machine.Machine.engine);
     wake =
       (fun th ->
-        let target = t.shared.scheds.(th.Thread.cpu) in
+        let target = shared.scheds.(th.Thread.cpu) in
         if th.Thread.state = Thread.Blocked then
-          if cpu_id target = cpu_id t then wake_sched target th
+          if cpu_id target = cpu.Machine.id then wake_sched target th
           else begin
             (* Shared memory: enqueue directly, then kick the remote local
                scheduler so it notices (the only IPI use, §3.5). *)
             wake_enqueue target th;
-            kick target ~from:(cpu_id t)
+            kick target
           end);
     sample =
       (fun th cost ->
-        let m = t.shared.machine in
+        let m = shared.machine in
         Machine.sample m (Machine.cpu m th.Thread.cpu) cost);
-    rng = t.shared.workload_rng;
+    rng = shared.workload_rng;
   }
 
 let create shared cpu =
@@ -1328,23 +1301,9 @@ let create shared cpu =
       aper_run = Deque.create ();
       task_queue = Task.create ();
       admission =
-        (let per_invocation =
-           plat.Platform.irq_dispatch.Platform.mean_cycles
-           +. plat.Platform.sched_pass.Platform.mean_cycles
-           +. plat.Platform.sched_other.Platform.mean_cycles
-           +. plat.Platform.ctx_switch.Platform.mean_cycles
-         in
-         (* Two invocations per arrival: the arrival and the timeout. *)
-         Admission.create cfg
-           ~overhead_ns:(Platform.cycles_to_ns plat (2. *. per_invocation)));
+        Admission.create cfg ~overhead_ns:(Admission.overhead_of_platform plat);
       account = Account.create ~ghz:plat.Platform.ghz;
-      services =
-        {
-          Thread.now = (fun () -> 0L);
-          wake = (fun _ -> ());
-          sample = (fun _ _ -> 0L);
-          rng = shared.workload_rng;
-        };
+      services = make_services shared cpu;
       last_ctx = None;
       current = None;
       completion_ev = Engine.no_handle;
@@ -1355,6 +1314,7 @@ let create shared cpu =
       kick_event = ignore;
       kick_inner = ignore;
       steal_event = ignore;
+      recover_event = ignore;
       steal_armed = false;
       busy_until = 0L;
       clock_skew = 0L;
@@ -1371,19 +1331,19 @@ let create shared cpu =
       demotes = 0;
     }
   in
-  t.services <- make_services t;
   (* Cache one closure per long-lived event source so the steady-state
      hot paths (soft-IRQ requests, completion timers, kick IPIs, steal
-     polls) schedule without allocating a closure per event. The timer
-     vector stays a gated closure: [Apic.fire] disarms before entering the
-     handler, so deferring from inside it would lose a re-armed shot. *)
+     polls) and the recovery tick schedule without allocating a closure
+     per event. The timer vector stays a gated closure: [Apic.fire]
+     disarms before entering the handler, so deferring from inside it
+     would lose a re-armed shot. *)
   t.soft_event <- soft_entry t;
   t.complete_event <- complete_entry t;
   t.kick_event <- kick_entry t;
-  t.kick_inner <-
-    run_gated t (fun eng ->
-        let irq_ns = sample t (platform t).Platform.irq_dispatch in
-        invoke t eng ~irq_ns ~handler_ns:0L);
+  t.kick_inner <- run_gated t (fun eng -> irq_entry t ~handler_ns:0L eng);
   t.steal_event <- steal_entry t;
+  (* Only degradation ever arms the recovery tick. *)
+  if cfg.Config.degradation then
+    t.recover_event <- run_gated t (recovery_tick t);
   Apic.set_timer_handler cpu.Machine.apic (run_gated t (on_timer t));
   t

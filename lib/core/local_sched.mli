@@ -61,11 +61,6 @@ val create : shared -> Machine.cpu -> t
     schedulers exist. *)
 
 val shared : t -> shared
-val cpu_id : t -> int
-
-val services : t -> Thread.services
-(** The kernel services handed to thread bodies running on this CPU; its
-    [wake] routes cross-CPU wakes through kick IPIs. *)
 
 val set_task_thread : t -> Thread.t -> unit
 (** Register the helper thread that drains untagged tasks on this CPU. *)
@@ -75,7 +70,6 @@ val task_thread : t -> Thread.t option
 val account : t -> Account.t
 val admission : t -> Admission.t
 val tasks : t -> Task.t
-val current : t -> Thread.t option
 
 val obs : t -> Hrt_obs.Sink.t
 (** The shared observability sink (possibly {!Hrt_obs.Sink.null}). *)
@@ -108,22 +102,9 @@ val reanchor : t -> Thread.t -> first_arrival:Time.ns -> unit
     (group admission re-anchors every member at its final-barrier
     departure, Section 4.4). *)
 
-val kick : t -> from:int -> unit
-(** Deliver a kick IPI to this CPU (models cross-CPU scheduling requests). *)
-
 val on_device_irq : t -> handler_ns:Time.ns -> unit
 (** Entry point for a steered external interrupt: charges the handler cost
     and runs a scheduling pass (paper: bounded interrupt handler time). *)
-
-val aper_load : t -> int
-(** Stealable aperiodic threads queued here (work-stealing load metric). *)
-
-val try_steal_from : t -> thief_cpu:int -> Thread.t option
-(** Remove the oldest unbound aperiodic thread, rebinding it to the thief.
-    Used by the idle-thread work stealer. *)
-
-val rt_queue_length : t -> int
-val pending_length : t -> int
 
 val sync_accounting : t -> unit
 (** Charge the running thread's progress up to the current instant, so

@@ -6,7 +6,6 @@ module type POLICY = sig
   val kind : kind
   val name : string
   val run_key : Thread.t -> Time.ns
-  val preempts : Thread.t -> over:Thread.t -> bool
   val missed : now:Time.ns -> Thread.t -> bool
   val latest_start : slack:Time.ns -> Thread.t -> Time.ns
 end
@@ -27,7 +26,6 @@ module Edf = struct
   let kind = Edf
   let name = Config.policy_name Config.Edf
   let run_key (th : Thread.t) = th.Thread.deadline
-  let preempts a ~over = Time.(run_key a < run_key over)
   let missed = missed_deadline
   let latest_start = latest_feasible_start
 end
@@ -48,7 +46,6 @@ module Rm = struct
       Time.max 1L Time.(th.Thread.deadline - th.Thread.arrival)
     | Constraints.Aperiodic _ -> Int64.max_int
 
-  let preempts a ~over = Time.(run_key a < run_key over)
   let missed = missed_deadline
   let latest_start = latest_feasible_start
 end
@@ -62,6 +59,5 @@ let of_kind : kind -> t = function
 let kind (module P : POLICY) = P.kind
 let name (module P : POLICY) = P.name
 let run_key (module P : POLICY) th = P.run_key th
-let preempts (module P : POLICY) th ~over = P.preempts th ~over
 let missed (module P : POLICY) ~now th = P.missed ~now th
 let latest_start (module P : POLICY) ~slack th = P.latest_start ~slack th

@@ -7,8 +7,6 @@
 
     - the {e run-queue key}: what the RT {!Prio_queue} orders by (ties
       break FIFO by insertion, preserving determinism);
-    - the {e preemption test}: would one runnable thread run before
-      another (the ordering the key encodes);
     - the {e deadline-miss check}: has a thread failed its current
       arrival;
     - the {e lazy-dispatch horizon}: the latest instant the queue head may
@@ -42,11 +40,6 @@ module type POLICY = sig
       Must be stable for the lifetime of one arrival (threads are re-keyed
       whenever they re-enter the queue). *)
 
-  val preempts : Thread.t -> over:Thread.t -> bool
-  (** [preempts th ~over] — would [th] run before [over]? This is the
-      strict ordering the run-queue key encodes; equal keys do not
-      preempt (FIFO tie-break). *)
-
   val missed : now:Time.ns -> Thread.t -> bool
   (** Has this thread missed the deadline of its current arrival: the
       deadline passed while slice time was still owed. *)
@@ -75,6 +68,5 @@ val name : t -> string
     {!Local_sched} calls on its hot paths). *)
 
 val run_key : t -> Thread.t -> Time.ns
-val preempts : t -> Thread.t -> over:Thread.t -> bool
 val missed : t -> now:Time.ns -> Thread.t -> bool
 val latest_start : t -> slack:Time.ns -> Thread.t -> Time.ns

@@ -156,6 +156,7 @@ let snapshot_metrics t =
     let setg ?cpu name v = Obs.Metrics.set (Obs.Metrics.gauge m ?cpu name) v in
     setg ("sched.policy." ^ Config.policy_name (config t).Config.policy) 1.;
     setg "engine.events_executed" (float_of_int (Engine.events_executed eng));
+    setg "engine.pending" (float_of_int (Engine.pending eng));
     setg "engine.queue_depth_hwm" (float_of_int (Engine.max_queue_depth eng));
     setg "engine.sim_time_ns" (Int64.to_float (Engine.now eng));
     setg "engine.total_frozen_ns" (Int64.to_float (Engine.total_frozen eng));
@@ -249,12 +250,7 @@ let create ?(seed = 42L) ?num_cpus ?(config = Config.default)
      Array.iteri
        (fun cpu _ ->
          Obs.Sink.emit obs ~time:0L ~cpu (Obs.Event.Policy { policy }))
-       scheds;
-     (* Live queue-depth gauge: pulled at snapshot points rather than
-        pushed per event — the engine hot loop stays instrumentation-free. *)
-     let eng = machine.Machine.engine in
-     Obs.Sink.add_probe obs ~name:"engine.pending" (fun () ->
-         float_of_int (Engine.pending eng))
+       scheds
    end);
   let t =
     {

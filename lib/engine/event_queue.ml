@@ -5,12 +5,10 @@
    but not its 2^(8L)-window lives at level L; a level-0 slot therefore
    holds exactly one tick value, so appending to the slot list keeps the
    (time, seq) FIFO order without any per-slot sorting. Events beyond the
-   wheel's 2^32 ns horizon sit in an overflow binary heap; events added in
-   the past (the cursor only moves forward) sit in an overdue heap. The
-   three tiers never hold equal-priority elements out of order: overdue
-   ticks are strictly below the cursor, wheel ticks are at or above it,
-   and the minimum is selected by a (tick, seq) comparison across tier
-   heads, so the pop sequence is identical to a single (time, seq) heap.
+   wheel's 2^32 ns horizon and events added in the past (the cursor only
+   moves forward) sit in one binary heap beside it. The minimum is the
+   (tick, seq)-lesser of the wheel's head and the heap's root, so the pop
+   sequence is identical to a single (time, seq) heap.
 
    Entries live in a structure-of-arrays pool recycled through a free
    list: steady-state add/pop traffic allocates nothing. Handles pack the
@@ -18,10 +16,10 @@
    is freed or re-targeted, so a stale handle's cancel is a safe no-op.
 
    Cancellation is O(1) and precise for wheel entries (doubly-linked slot
-   lists); entries inside either heap are cancelled lazily (marked dead,
+   lists); entries inside the heap are cancelled lazily (marked dead,
    reclaimed when they surface), exactly like the reference heap. *)
 
-(* The whole module is engine hot path: steady-state add/take/requeue
+(* The whole module is engine hot path: steady-state add/take/defer
    traffic must stay allocation-free (see DESIGN.md section 10). The few
    allocating conveniences are marked [@@hrt.cold]. *)
 [@@@hrt.hot]
@@ -44,10 +42,9 @@ let wheel_slots = levels * slots_per_level
 
 (* [where] codes: a wheel slot id >= 0, or one of: *)
 let w_free = -1
-let w_overdue = -2 (* live, in the overdue heap *)
-let w_overflow = -3 (* live, in the overflow heap *)
-let w_dead = -4 (* cancelled, still buried in a heap *)
-let w_inflight = -5 (* taken by the engine, not yet finished *)
+let w_heap = -2 (* live, in the heap (overdue or beyond the horizon) *)
+let w_dead = -3 (* cancelled, still buried in the heap *)
+let w_inflight = -4 (* taken by the engine, not yet finished *)
 
 type 'a t = {
   dummy : 'a;
@@ -67,11 +64,9 @@ type 'a t = {
   tail : int array;
   occ : int array; (* occupancy bitmap, 32 slots per word *)
   mutable wheel_count : int;
-  (* heaps of pool indices ordered by (tick, seq), lazily cleaned *)
-  mutable od_heap : int array;
-  mutable od_len : int;
-  mutable of_heap : int array;
-  mutable of_len : int;
+  (* heap of pool indices ordered by (tick, seq), lazily cleaned *)
+  mutable heap : int array;
+  mutable heap_len : int;
   mutable next_seq : int;
   mutable live : int;
   (* [find_min]'s answer, or [no_min] when it must be searched again. The
@@ -114,10 +109,8 @@ let[@hrt.cold] create ~dummy =
     tail = Array.make wheel_slots (-1);
     occ = Array.make (wheel_slots / 32) 0;
     wheel_count = 0;
-    od_heap = [||];
-    od_len = 0;
-    of_heap = [||];
-    of_len = 0;
+    heap = [||];
+    heap_len = 0;
     next_seq = 0;
     live = 0;
     min_entry = no_min;
@@ -172,18 +165,18 @@ let earlier t i j =
   t.e_time.(i) < t.e_time.(j)
   || (t.e_time.(i) = t.e_time.(j) && t.e_seq.(i) < t.e_seq.(j))
 
-(* ---- int-index binary heaps (overdue / overflow) ---- *)
+(* ---- int-index binary heap (overdue and beyond-horizon entries) ---- *)
 
-let heap_push t heap len i =
-  let a = if Array.length heap <= len then begin
-      let ncap = if len = 0 then 16 else 2 * len in
-      let n = Array.make ncap (-1) in
-      Array.blit heap 0 n 0 len;
-      n
-    end
-    else heap
-  in
+let heap_push t i =
+  let len = t.heap_len in
+  if Array.length t.heap <= len then begin
+    let n = Array.make (if len = 0 then 16 else 2 * len) (-1) in
+    Array.blit t.heap 0 n 0 len;
+    t.heap <- n
+  end;
+  let a = t.heap in
   a.(len) <- i;
+  t.heap_len <- len + 1;
   let pos = ref len in
   while
     !pos > 0
@@ -196,8 +189,7 @@ let heap_push t heap len i =
     a.(!pos) <- a.(p);
     a.(p) <- tmp;
     pos := p
-  done;
-  a
+  done
 
 let rec heap_sift_down t a len i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
@@ -211,45 +203,22 @@ let rec heap_sift_down t a len i =
     heap_sift_down t a len !m
   end
 
-let od_push t i =
-  t.od_heap <- heap_push t t.od_heap t.od_len i;
-  t.od_len <- t.od_len + 1
-
-let of_push t i =
-  t.of_heap <- heap_push t t.of_heap t.of_len i;
-  t.of_len <- t.of_len + 1
-
-let od_pop_root t =
-  let i = t.od_heap.(0) in
-  t.od_len <- t.od_len - 1;
-  if t.od_len > 0 then begin
-    t.od_heap.(0) <- t.od_heap.(t.od_len);
-    heap_sift_down t t.od_heap t.od_len 0
+let heap_pop_root t =
+  let i = t.heap.(0) in
+  t.heap_len <- t.heap_len - 1;
+  if t.heap_len > 0 then begin
+    t.heap.(0) <- t.heap.(t.heap_len);
+    heap_sift_down t t.heap t.heap_len 0
   end;
   i
 
-let of_pop_root t =
-  let i = t.of_heap.(0) in
-  t.of_len <- t.of_len - 1;
-  if t.of_len > 0 then begin
-    t.of_heap.(0) <- t.of_heap.(t.of_len);
-    heap_sift_down t t.of_heap t.of_len 0
-  end;
-  i
-
-(* Drop cancelled entries off a heap top so the root is live (or the heap
-   empty). Dead entries are only reclaimed here: their pool slot must not
-   be reused while their index is still buried in the heap array. *)
-let rec od_clean t =
-  if t.od_len > 0 && t.e_where.(t.od_heap.(0)) = w_dead then begin
-    free_entry t (od_pop_root t);
-    od_clean t
-  end
-
-let rec of_clean t =
-  if t.of_len > 0 && t.e_where.(t.of_heap.(0)) = w_dead then begin
-    free_entry t (of_pop_root t);
-    of_clean t
+(* Drop cancelled entries off the heap top so the root is live (or the
+   heap empty). Dead entries are only reclaimed here: their pool slot must
+   not be reused while their index is still buried in the heap array. *)
+let rec heap_clean t =
+  if t.heap_len > 0 && t.e_where.(t.heap.(0)) = w_dead then begin
+    free_entry t (heap_pop_root t);
+    heap_clean t
   end
 
 (* ---- wheel slots ---- *)
@@ -332,8 +301,8 @@ let slot_unlink t i =
 let place t i =
   let tick = t.e_time.(i) in
   if tick < t.cur then begin
-    t.e_where.(i) <- w_overdue;
-    od_push t i
+    t.e_where.(i) <- w_heap;
+    heap_push t i
   end
   else if tick lsr slot_bits = t.cur lsr slot_bits then
     slot_append t (tick land 0xff) i
@@ -344,8 +313,8 @@ let place t i =
   else if tick lsr 32 = t.cur lsr 32 then
     slot_append t ((3 * slots_per_level) + ((tick lsr 24) land 0xff)) i
   else begin
-    t.e_where.(i) <- w_overflow;
-    of_push t i
+    t.e_where.(i) <- w_heap;
+    heap_push t i
   end
 
 (* Move every entry of a level-[lvl] slot down, after advancing the
@@ -401,26 +370,19 @@ let rec wheel_min t =
           | _ -> -1)))
   end
 
-(* ---- minimum selection across the three tiers ---- *)
+(* ---- minimum selection across the wheel and the heap ---- *)
 
-(* The minimum is the (tick, seq)-least of the three tier heads. Overdue
-   ticks are always below the cursor and wheel ticks at or above it, but
-   the overflow heap needs a real comparison both ways: it keeps entries
-   whose 2^32 window the cursor has since reached (they are never
-   migrated into the wheel) and can even hold ticks the cursor has passed
-   (its page jumped over them), which must still beat a later overdue
-   entry. *)
+(* The minimum is the (tick, seq)-lesser of the wheel's head and the
+   heap's root. Overdue ticks are always below the cursor and wheel ticks
+   at or above it, but a beyond-horizon entry needs a real comparison
+   both ways: the heap keeps entries whose 2^32 window the cursor has
+   since reached (they are never migrated into the wheel) and can even
+   hold ticks the cursor has passed (its page jumped over them), which
+   must still beat a later overdue entry. *)
 let search_min t =
-  od_clean t;
-  of_clean t;
+  heap_clean t;
   let best = wheel_min t in
-  let best =
-    if t.od_len > 0 && (best < 0 || earlier t t.od_heap.(0) best) then
-      t.od_heap.(0)
-    else best
-  in
-  if t.of_len > 0 && (best < 0 || earlier t t.of_heap.(0) best) then
-    t.of_heap.(0)
+  if t.heap_len > 0 && (best < 0 || earlier t t.heap.(0) best) then t.heap.(0)
   else best
 
 (* A repeated search with no mutation in between returns the same entry:
@@ -433,16 +395,15 @@ let invalidate_min t = t.min_entry <- no_min
 
 let remove_min t i =
   (* [i] must be the entry [find_min] returned. The cursor never moves
-     backwards: a pop below it (overdue, or a passed-over overflow tick)
+     backwards: a pop below it (overdue, or a passed-over far tick)
      leaves it in place, so the placement of existing wheel entries stays
      consistent with future scans. *)
   match t.e_where.(i) with
   | w when w >= 0 ->
     slot_unlink t i;
     t.cur <- t.e_time.(i)
-  | w when w = w_overdue -> ignore (od_pop_root t : int)
-  | w when w = w_overflow ->
-    ignore (of_pop_root t : int);
+  | w when w = w_heap ->
+    ignore (heap_pop_root t : int);
     if t.e_time.(i) > t.cur then t.cur <- t.e_time.(i)
   | _ -> assert false
 
@@ -473,7 +434,7 @@ let cancel t h =
       t.live <- t.live - 1;
       free_entry t i
     end
-    else if w = w_overdue || w = w_overflow then begin
+    else if w = w_heap then begin
       (* Lazy: the index stays buried in its heap; mark it dead, release
          the payload now, bump the generation so the handle dies. *)
       t.e_where.(i) <- w_dead;
@@ -486,45 +447,12 @@ let cancel t h =
 
 let is_live t h =
   let i = decode t h in
-  i >= 0 && (t.e_where.(i) >= 0 || t.e_where.(i) = w_overdue || t.e_where.(i) = w_overflow)
+  i >= 0 && (t.e_where.(i) >= 0 || t.e_where.(i) = w_heap)
 
 let entry_time t h =
   let i = decode t h in
   if i < 0 then invalid_arg "Event_queue.entry_time: stale handle"
   else Int64.of_int t.e_time.(i)
-
-(* A requeue is a fresh insertion: new sequence number, so the FIFO
-   tie-break counts from insertion into the new instant. *)
-let requeue_fresh t i' tick =
-  t.e_time.(i') <- tick;
-  t.e_seq.(i') <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  place t i';
-  mk_handle t i'
-
-let requeue t h ~time =
-  if not (is_live t h) then invalid_arg "Event_queue.requeue: cancelled entry";
-  let i = h land idx_mask in
-  let tick = tick_of_time time in
-  invalidate_min t;
-  if t.e_where.(i) >= 0 then begin
-    (* Reuse the record in place; bump the generation so the old handle
-       goes stale (a requeue invalidates it, like a cancel + add). *)
-    slot_unlink t i;
-    t.e_gen.(i) <- (t.e_gen.(i) + 1) land gen_mask;
-    requeue_fresh t i tick
-  end
-  else begin
-    (* Buried in a heap: bury the old record dead, move the payload to a
-       fresh one. *)
-    let p = t.e_payload.(i) in
-    t.e_where.(i) <- w_dead;
-    t.e_payload.(i) <- t.dummy;
-    t.e_gen.(i) <- (t.e_gen.(i) + 1) land gen_mask;
-    let i' = alloc_entry t in
-    t.e_payload.(i') <- p;
-    requeue_fresh t i' tick
-  end
 
 let next_tick t =
   let i = find_min t in

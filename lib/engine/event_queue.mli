@@ -1,17 +1,16 @@
 (** Hierarchical timing-wheel event queue.
 
     Events are ordered by (time, sequence number): two events at the same
-    simulated instant fire in insertion order, and a {!requeue} counts as
-    a fresh insertion. The pop sequence is bit-identical to the reference
-    binary heap the engine started with (kept in [test/heap_queue.ml] and
-    property-tested against this queue); the representation differs only
-    in cost:
+    simulated instant fire in insertion order, and a {!defer_inflight}
+    counts as a fresh insertion. The pop sequence is bit-identical to the
+    reference binary heap the engine started with (kept in
+    [test/heap_queue.ml] and property-tested against this queue); the
+    representation differs only in cost:
 
-    - 4 levels x 256 slots, 1 ns per level-0 slot, so add / cancel /
-      requeue of anything within 2^32 ns of the cursor is O(1). Events
-      beyond the horizon wait in an overflow heap; events scheduled below
-      the cursor (the engine permits past adds at queue level) in an
-      overdue heap.
+    - 4 levels x 256 slots, 1 ns per level-0 slot, so add / cancel of
+      anything within 2^32 ns of the cursor is O(1). Events beyond the
+      horizon, and events scheduled below the cursor (the engine permits
+      past adds at queue level), wait in one binary heap.
     - Entries live in a structure-of-arrays pool recycled through a free
       list, so steady-state traffic performs no heap allocation. Handles
       are immediate ints packing the pool index with a generation
@@ -26,8 +25,8 @@ type 'a t
 
 type handle = int
 (** Handle to a scheduled event. Handles are immediate (no allocation)
-    and generation-checked: once the event fires, is cancelled, or is
-    requeued, the old handle goes stale and {!cancel} on it is a no-op. *)
+    and generation-checked: once the event fires or is cancelled, the
+    old handle goes stale and {!cancel} on it is a no-op. *)
 
 val none : handle
 (** A handle that never names a live event ([-1]). *)
@@ -54,13 +53,6 @@ val is_live : 'a t -> handle -> bool
 val entry_time : 'a t -> handle -> Time.ns
 (** Scheduled time behind a live handle. Raises [Invalid_argument] on a
     stale one. *)
-
-val requeue : 'a t -> handle -> time:Time.ns -> handle
-(** [requeue q h ~time] cancels [h] and re-adds its payload at [time]
-    with a {e fresh} sequence number: a requeue counts as a new
-    insertion, so it fires after events already scheduled at the same
-    instant. Returns the new handle; the old one goes stale. Raises
-    [Invalid_argument] if [h] is stale. *)
 
 val pop : 'a t -> (Time.ns * 'a) option
 (** Remove and return the earliest live event. *)

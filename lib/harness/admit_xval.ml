@@ -91,7 +91,7 @@ let check_one ~ctx ~index =
             (Config.policy_name policy) s :: !problems)
       fmt
   in
-  let overhead_ns = Taskset.overhead_of_platform Platform.phi in
+  let overhead_ns = Admission.overhead_of_platform Platform.phi in
   let default_cfg = { Config.default with Config.policy } in
   let stress_cfg =
     {

@@ -15,11 +15,13 @@ let run ?ctx () =
     | Exp.Full -> Time.ms 500
   in
   (* The scope pins are driven from the observability stream: the same
-     Irq/Sched_pass/Dispatch/Idle events every consumer sees. When the
-     caller's context has no sink (the common case), a private traceless
-     sink is created just for the pin subscriber. *)
+     Irq/Sched_pass/Dispatch/Idle events every consumer sees. The pin
+     subscriber goes on a sink of this run's own — a child of the
+     caller's, absorbed back after the run, or a private traceless one
+     when the caller has none — so nothing of it outlives the run. *)
   let sink =
-    if Hrt_obs.Sink.enabled ctx.Exp.Ctx.sink then ctx.Exp.Ctx.sink
+    if Hrt_obs.Sink.enabled ctx.Exp.Ctx.sink then
+      Hrt_obs.Sink.child ctx.Exp.Ctx.sink
     else Hrt_obs.Sink.create ~trace:false ()
   in
   let sys = Scheduler.create ~seed:ctx.Exp.Ctx.seed ~num_cpus:2 ~obs:sink Platform.phi in
@@ -51,6 +53,7 @@ let run ?ctx () =
         | Hrt_obs.Event.Idle -> set thread_pin time false
         | _ -> ());
   Scheduler.run ~until:horizon sys;
+  Hrt_obs.Sink.absorb ctx.Exp.Ctx.sink sink;
   let settle = Time.ms 5 in
   let analyze name pin =
     let intervals =

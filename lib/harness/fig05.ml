@@ -32,27 +32,29 @@ let run ?ctx () =
           ("stddev", Table.Right);
         ]
   in
-  let totals =
-    (* One job per platform: the two accounting runs are independent. *)
+  let accounts =
+    (* One job per platform: the two accounting runs are independent. The
+       tables take their rows in submission order, at any job count. *)
     Exp.parallel_map ctx
-      (fun jctx plat ->
-        let acc = measure ~ctx:jctx plat in
-        let row name s =
-          Table.row table
-            [
-              plat.Hrt_hw.Platform.name;
-              name;
-              Printf.sprintf "%.0f" (Summary.mean s);
-              Printf.sprintf "%.0f" (Summary.stddev s);
-            ]
-        in
-        row "IRQ" (Account.irq_cycles acc);
-        row "Other" (Account.other_cycles acc);
-        row "Resched" (Account.resched_cycles acc);
-        row "Switch" (Account.switch_cycles acc);
-        (plat, Account.total_overhead_cycles acc))
+      (fun jctx plat -> (plat, measure ~ctx:jctx plat))
       [ Hrt_hw.Platform.phi; Hrt_hw.Platform.r415 ]
   in
+  List.iter
+    (fun (plat, acc) ->
+      let row name s =
+        Table.row table
+          [
+            plat.Hrt_hw.Platform.name;
+            name;
+            Printf.sprintf "%.0f" (Summary.mean s);
+            Printf.sprintf "%.0f" (Summary.stddev s);
+          ]
+      in
+      row "IRQ" (Account.irq_cycles acc);
+      row "Other" (Account.other_cycles acc);
+      row "Resched" (Account.resched_cycles acc);
+      row "Switch" (Account.switch_cycles acc))
+    accounts;
   let summary =
     Table.create ~title:"Fig 5: total software overhead per invocation"
       ~columns:
@@ -63,12 +65,13 @@ let run ?ctx () =
         ]
   in
   List.iter
-    (fun (plat, cycles) ->
+    (fun (plat, acc) ->
+      let cycles = Account.total_overhead_cycles acc in
       Table.row summary
         [
           plat.Hrt_hw.Platform.name;
           Printf.sprintf "%.0f" cycles;
           Printf.sprintf "%.2f" (cycles /. plat.Hrt_hw.Platform.ghz /. 1000.);
         ])
-    totals;
+    accounts;
   [ table; summary ]

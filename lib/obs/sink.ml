@@ -121,8 +121,8 @@ let child t =
            Some (Tracer.create ())
          else None);
       subscribers = [];
-      (* Probes read live state owned by the parent's domain (e.g. an
-         engine queue); a job's child sink never samples them. *)
+      (* Probes read live state owned by the parent's domain (e.g. a
+         cache's counters); a job's child sink never samples them. *)
       probes = [];
     }
 

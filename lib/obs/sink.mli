@@ -35,8 +35,9 @@ val subscribe : t -> subscriber -> unit
 val add_probe : t -> name:string -> (unit -> float) -> unit
 (** Register a pull gauge: [sample_probes] reads the callback and stores
     the value in the metrics registry under [name]. Used for state that is
-    cheap to read but wasteful to push on every change — e.g. the engine's
-    pending-event count. No-op on a disabled sink. *)
+    cheap to read but wasteful to push on every change — e.g. the
+    admission cache's counters or the daemon's queue depth. No-op on a
+    disabled sink. *)
 
 val sample_probes : t -> unit
 (** Read every registered probe into its gauge, in registration order.

@@ -127,6 +127,16 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
   (match cfg.default_deadline_ms with
   | Some ms when ms < 0 -> invalid_arg "Server.create: default_deadline_ms < 0"
   | Some _ | None -> ());
+  (* The trace file is opened before anything is bound, so a path that
+     cannot be written leaves no socket behind. *)
+  let trace =
+    Option.map
+      (fun path ->
+        let oc = open_out path in
+        output_string oc "[";
+        oc)
+      trace_out
+  in
   let ufd = listen_unix socket in
   let tcp = Option.map listen_tcp tcp_port in
   let t =
@@ -140,13 +150,7 @@ let create ?tcp_port ?(sink = Hrt_obs.Sink.null) ?trace_out ~socket cfg =
         Protocol.key_reader ~prefix:(Taskset.key_prefix (taskset_of cfg []));
       lines = Protocol.Verdict_lines.create ();
       sink;
-      trace =
-        Option.map
-          (fun path ->
-            let oc = open_out path in
-            output_string oc "[";
-            oc)
-          trace_out;
+      trace;
       started_ns = Clock.now_ns ();
       queue = Queue.create ();
       conns = [];

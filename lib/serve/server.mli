@@ -82,9 +82,9 @@ val create :
     probes and sampled at drain. [trace_out] is a Chrome-trace JSON
     array with one span per request (verb, queue+service time, outcome),
     each written as the request completes; the array is closed at drain.
-    Raises [Invalid_argument], before binding anything, if [max_batch]
-    is below 1 or [default_deadline_ms] is negative; [Unix.Unix_error]
-    if binding fails; [Sys_error] if [trace_out] cannot be opened. *)
+    Raises, before binding anything, [Invalid_argument] if [max_batch]
+    is below 1 or [default_deadline_ms] is negative, and [Sys_error] if
+    [trace_out] cannot be opened; [Unix.Unix_error] if binding fails. *)
 
 val tcp_port : t -> int option
 (** The bound TCP port, once created (resolves an ephemeral request). *)

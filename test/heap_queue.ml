@@ -125,18 +125,5 @@ let rec peek_time t =
     end
   end
 
-let requeue t e ~time =
-  if not e.live then invalid_arg "Heap_queue.requeue: cancelled entry";
-  let payload = match e.payload with Some p -> p | None -> assert false in
-  cancel t e;
-  (* A requeue is a fresh insertion: it takes a new sequence number so the
-     documented FIFO tie-break among same-timestamp events holds relative
-     to everything already scheduled, not to the entry's original age. *)
-  let e' = { time; seq = t.next_seq; payload = Some payload; live = true } in
-  t.next_seq <- t.next_seq + 1;
-  add_entry t e';
-  t.live_count <- t.live_count + 1;
-  e'
-
 let size t = t.live_count
 let is_empty t = t.live_count = 0

@@ -31,13 +31,6 @@ val cancel : 'a t -> 'a entry -> unit
 val is_live : 'a entry -> bool
 val entry_time : 'a entry -> Time.ns
 
-val requeue : 'a t -> 'a entry -> time:Time.ns -> 'a entry
-(** [requeue q e ~time] cancels [e] and re-adds its payload at [time] with
-    a {e fresh} sequence number: a requeue counts as a new insertion, so it
-    fires after events already scheduled at the same instant (the FIFO
-    tie-break documented above). Returns the new handle. Raises
-    [Invalid_argument] if [e] is cancelled. *)
-
 val pop : 'a t -> (Time.ns * 'a) option
 (** Remove and return the earliest live event. *)
 

@@ -8,7 +8,7 @@ open Hrt_analysis
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
-let phi_overhead = Taskset.overhead_of_platform Hrt_hw.Platform.phi
+let phi_overhead = Hrt_core.Admission.overhead_of_platform Hrt_hw.Platform.phi
 
 let p ~period_us ~slice_us =
   Constraints.periodic ~period:(Time.us period_us) ~slice:(Time.us slice_us) ()

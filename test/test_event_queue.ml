@@ -60,46 +60,6 @@ let test_peek () =
   Alcotest.(check (option int64)) "peek skips cancelled" (Some 9L)
     (Event_queue.peek_time q)
 
-let test_requeue_is_reinsertion () =
-  let q = Event_queue.create ~dummy:"" in
-  let a = Event_queue.add q ~time:1L "a" in
-  let b = Event_queue.add q ~time:2L "b" in
-  (* Defer both to the same instant; each requeue is a fresh insertion, so
-     they fire in requeue order, not original insertion order. *)
-  ignore (Event_queue.requeue q b ~time:50L);
-  ignore (Event_queue.requeue q a ~time:50L);
-  let _, v1 = Option.get (Event_queue.pop q) in
-  let _, v2 = Option.get (Event_queue.pop q) in
-  Alcotest.(check string) "b requeued first" "b" v1;
-  Alcotest.(check string) "a requeued second" "a" v2
-
-let test_requeue_no_queue_jumping () =
-  (* Determinism regression: an old entry requeued onto a timestamp that
-     already has later-scheduled events must fire AFTER them (FIFO at equal
-     times counts from insertion into that instant). The seed reused the
-     original seq, letting the requeued event jump the queue. *)
-  let q = Event_queue.create ~dummy:"" in
-  let e1 = Event_queue.add q ~time:10L "early" in
-  ignore (Event_queue.add q ~time:50L "settled");
-  ignore (Event_queue.requeue q e1 ~time:50L);
-  let _, v1 = Option.get (Event_queue.pop q) in
-  let _, v2 = Option.get (Event_queue.pop q) in
-  Alcotest.(check string) "already-scheduled event keeps its turn" "settled" v1;
-  Alcotest.(check string) "requeued event goes behind" "early" v2
-
-let test_requeue_invalidates_old_handle () =
-  let q = Event_queue.create ~dummy:"" in
-  let a = Event_queue.add q ~time:1L "a" in
-  let a' = Event_queue.requeue q a ~time:5L in
-  Alcotest.(check bool) "old handle stale" false (Event_queue.is_live q a);
-  (* Cancelling through the stale handle must not touch the requeued
-     event, even though it may share the same pool slot. *)
-  Event_queue.cancel q a;
-  Alcotest.(check bool) "requeued event survives" true
-    (Event_queue.is_live q a');
-  let _, v = Option.get (Event_queue.pop q) in
-  Alcotest.(check string) "fires" "a" v
-
 (* The pool must not retain popped/cancelled payloads: attach a finalizer
    to a heap-allocated payload, drop every reference, and check the GC can
    actually reclaim it while the queue itself stays live (the queue must
@@ -151,14 +111,6 @@ let test_grow_does_not_duplicate_payloads () =
   Gc.full_major ();
   Alcotest.(check int) "all payloads collectable" n !freed;
   Alcotest.(check int) "queue still live and empty" 0 (Event_queue.size q)
-
-let test_requeue_cancelled_rejected () =
-  let q = Event_queue.create ~dummy:() in
-  let a = Event_queue.add q ~time:1L () in
-  Event_queue.cancel q a;
-  Alcotest.check_raises "requeue cancelled"
-    (Invalid_argument "Event_queue.requeue: cancelled entry") (fun () ->
-      ignore (Event_queue.requeue q a ~time:2L))
 
 let test_large_volume () =
   let q = Event_queue.create ~dummy:() in
@@ -246,13 +198,6 @@ let suite =
     Alcotest.test_case "stale handle after pop" `Quick
       test_stale_handle_after_pop;
     Alcotest.test_case "peek" `Quick test_peek;
-    Alcotest.test_case "requeue is a fresh insertion" `Quick
-      test_requeue_is_reinsertion;
-    Alcotest.test_case "requeue cannot jump same-time FIFO" `Quick
-      test_requeue_no_queue_jumping;
-    Alcotest.test_case "requeue invalidates old handle" `Quick
-      test_requeue_invalidates_old_handle;
-    Alcotest.test_case "requeue cancelled rejected" `Quick test_requeue_cancelled_rejected;
     Alcotest.test_case "pop releases payload" `Quick test_pop_releases_payload;
     Alcotest.test_case "cancel releases payload" `Quick
       test_cancel_releases_payload;

@@ -92,6 +92,17 @@ let test_parallel_bsp_identical () =
   Alcotest.(check bool) "jobs=1 and jobs=4 rows structurally equal" true
     (seq = par)
 
+(* Fig 5 runs one job per platform. Its tables read the same at any job
+   count: each job returns its platform's account, and the rows are added
+   in submission order rather than as the jobs finish. *)
+let test_parallel_fig5_identical () =
+  let rows jobs =
+    let ctx = Exp.Ctx.make ~scale:Exp.Quick ~jobs () in
+    List.map Hrt_stats.Table.to_rows (Fig05.run ~ctx ())
+  in
+  Alcotest.(check (list (list (list string))))
+    "jobs=1 and jobs=4 Fig 5 rows" (rows 1) (rows 4)
+
 (* Bit-exact digests of whole sweeps, captured before the scheduler pass
    was taken off the minor heap: every field of every point or run,
    floats in hex, hashed with MD5. The pinned counts above only catch a
@@ -139,6 +150,7 @@ let suite =
     Alcotest.test_case "parallel sweep: CSV identical" `Quick test_parallel_csv_identical;
     Alcotest.test_case "parallel sweep: metrics identical" `Quick test_parallel_metrics_identical;
     Alcotest.test_case "parallel BSP sweep: rows identical" `Quick test_parallel_bsp_identical;
+    Alcotest.test_case "parallel Fig 5: rows identical" `Quick test_parallel_fig5_identical;
     Alcotest.test_case "miss-rate sweeps: bit-exact digest" `Quick test_missrate_digest;
     Alcotest.test_case "BSP pair: bit-exact digest" `Quick test_bsp_digest;
   ]

@@ -149,6 +149,25 @@ let test_fig10_releases_its_systems () =
   Alcotest.(check bool) "sink collected after the run" false
     (Weak.check weak 0)
 
+(* A system run on a sink that outlives it leaves nothing behind on that
+   sink: each [Scheduler.create] used to register a probe holding its
+   engine (and, through the events still queued, the whole system) for
+   the sink's life. *)
+let[@inline never] run_and_drop sink weak =
+  let sys = Hrt_core.Scheduler.create ~num_cpus:2 ~obs:sink Hrt_hw.Platform.phi in
+  let period = Hrt_engine.Time.us 100 in
+  ignore (Exp.periodic_thread sys ~cpu:1 ~period ~slice:(Hrt_engine.Time.us 50) ());
+  Hrt_core.Scheduler.run ~until:(Hrt_engine.Time.ms 5) sys;
+  Weak.set weak 0 (Some (Hrt_core.Scheduler.engine sys))
+
+let test_dropped_system_collected () =
+  let sink = Hrt_obs.Sink.create ~trace:false () in
+  let weak = Weak.create 1 in
+  run_and_drop sink weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "engine collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "sink still live" true (Hrt_obs.Sink.enabled sink)
+
 let test_light_experiments_produce_tables () =
   List.iter
     (fun name ->
@@ -202,6 +221,8 @@ let suite =
     Alcotest.test_case "spread collector" `Quick test_exp_spread_collector;
     Alcotest.test_case "fig10 releases its systems" `Quick
       test_fig10_releases_its_systems;
+    Alcotest.test_case "a dropped system leaves its sink" `Quick
+      test_dropped_system_collected;
     Alcotest.test_case "experiments produce tables" `Slow test_light_experiments_produce_tables;
     Alcotest.test_case "bsp sweep grids" `Quick test_bsp_sweep_grids;
     Alcotest.test_case "table accessors" `Quick test_table_accessors;

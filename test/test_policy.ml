@@ -19,6 +19,11 @@ let periodic_thread ~period ~deadline ~slice_left =
   th.Thread.slice_left <- slice_left;
   th
 
+(* Whether [a] runs before [b]: the strict order the run-queue key
+   encodes (equal keys fall back to FIFO). *)
+let runs_before policy a b =
+  Time.(Policy.run_key policy a < Policy.run_key policy b)
+
 let test_kinds () =
   Alcotest.(check string) "edf name" "edf" (Policy.name (Policy.of_kind Config.Edf));
   Alcotest.(check string) "rm name" "rm" (Policy.name (Policy.of_kind Config.Rm));
@@ -39,10 +44,10 @@ let test_edf_key_is_deadline () =
   Alcotest.(check int64) "key = deadline" 123L (Policy.run_key edf th);
   (* EDF ranks by deadline regardless of period. *)
   let short = periodic_thread ~period:(Time.us 10) ~deadline:200L ~slice_left:1L in
-  Alcotest.(check bool) "earlier deadline preempts" true
-    (Policy.preempts edf th ~over:short);
+  Alcotest.(check bool) "earlier deadline runs first" true
+    (runs_before edf th short);
   Alcotest.(check bool) "later deadline does not" false
-    (Policy.preempts edf short ~over:th)
+    (runs_before edf short th)
 
 let test_rm_key_is_period () =
   let rm = Policy.of_kind Config.Rm in
@@ -51,10 +56,10 @@ let test_rm_key_is_period () =
   Alcotest.(check int64) "key = period" (Time.us 10) (Policy.run_key rm short);
   (* RM ranks by period regardless of deadline: the short-period thread
      wins even though its current deadline is later. *)
-  Alcotest.(check bool) "shorter period preempts" true
-    (Policy.preempts rm short ~over:long);
+  Alcotest.(check bool) "shorter period runs first" true
+    (runs_before rm short long);
   Alcotest.(check bool) "longer period does not" false
-    (Policy.preempts rm long ~over:short)
+    (runs_before rm long short)
 
 let test_rm_sporadic_deadline_monotonic () =
   let rm = Policy.of_kind Config.Rm in

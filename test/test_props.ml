@@ -169,7 +169,7 @@ let prop_eq_sorted_with_cancels =
    Drive both implementations with one random operation stream — adds
    (including same-instant FIFO ties, past-time adds once pops have
    advanced the cursor, and far adds beyond the wheel's 2^32 ns horizon),
-   cancels and requeues through stored handles, and pops — and demand
+   cancels through stored handles, and pops — and demand
    they agree on every observation. *)
 
 (* The engine's in-flight protocol rides along: [next_tick] (which
@@ -180,7 +180,6 @@ type eq_op =
   | Eq_add of int
   | Eq_far of int
   | Eq_cancel of int
-  | Eq_requeue of int * int
   | Eq_pop
   | Eq_next_tick
   | Eq_take_finish
@@ -195,7 +194,6 @@ let eq_op_gen =
         (6, map (fun t -> Eq_add t) (int_bound 12));
         (2, map (fun t -> Eq_far t) (int_bound 12));
         (2, map (fun i -> Eq_cancel i) (int_bound 200));
-        (2, map (fun (i, t) -> Eq_requeue (i, t)) (pair (int_bound 200) (int_bound 12)));
         (3, return Eq_pop);
         (2, return Eq_next_tick);
         (2, return Eq_take_finish);
@@ -267,26 +265,11 @@ let prop_eq_wheel_matches_heap =
           ||
           let wh, he = pick i in
           (* Liveness must agree even through fired / already-cancelled /
-             requeued handles (generation checks vs lazy marks). *)
+             deferred handles (generation checks vs lazy marks). *)
           let agree = Event_queue.is_live w wh = Heap_queue.is_live he in
           Event_queue.cancel w wh;
           Heap_queue.cancel h he;
           agree
-        | Eq_requeue (i, t) ->
-          !n = 0
-          ||
-          let wh, he = pick i in
-          let lw = Event_queue.is_live w wh and lh = Heap_queue.is_live he in
-          lw = lh
-          && (if lw then begin
-                let time = Int64.of_int t in
-                hs :=
-                  ( Event_queue.requeue w wh ~time,
-                    Heap_queue.requeue h he ~time )
-                  :: !hs;
-                incr n
-              end;
-              true)
         | Eq_pop -> Event_queue.pop w = Heap_queue.pop h
         | Eq_next_tick -> Event_queue.next_tick w = heap_tick h
         | Eq_take_finish -> (

@@ -287,7 +287,7 @@ let prop_grammar_extremes_analyze =
       in
       let module T = Hrt_analysis.Taskset in
       let module O = Hrt_analysis.Oracle in
-      let overhead_ns = T.overhead_of_platform Hrt_hw.Platform.phi in
+      let overhead_ns = Hrt_core.Admission.overhead_of_platform Hrt_hw.Platform.phi in
       List.for_all
         (fun policy ->
           List.iter
