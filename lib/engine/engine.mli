@@ -1,7 +1,7 @@
 (** Discrete-event simulation engine.
 
     The engine owns simulated wall-clock time and a cancellable event queue
-    (a hierarchical timing wheel, {!Event_queue}). It also implements the one
+    (an indexed binary heap, {!Event_queue}). It also implements the one
     hardware behaviour that cuts across every subsystem: SMI-style
     {e freezes}, during which all CPUs stop but time keeps advancing
     ("missing time", paper Section 3.6). A freeze defers every event that

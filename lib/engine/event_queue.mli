@@ -1,16 +1,18 @@
-(** Hierarchical timing-wheel event queue.
+(** Indexed binary min-heap event queue.
 
     Events are ordered by (time, sequence number): two events at the same
     simulated instant fire in insertion order, and a {!defer_inflight}
-    counts as a fresh insertion. The pop sequence is bit-identical to the
-    reference binary heap the engine started with (kept in
-    [test/heap_queue.ml] and property-tested against this queue); the
-    representation differs only in cost:
+    counts as a fresh insertion. The order is total, so the pop sequence
+    is bit-identical to the reference binary heap the engine started with
+    (kept in [test/heap_queue.ml] and property-tested against this queue);
+    the representation differs only in cost:
 
-    - 4 levels x 256 slots, 1 ns per level-0 slot, so add / cancel of
-      anything within 2^32 ns of the cursor is O(1). Events beyond the
-      horizon, and events scheduled below the cursor (the engine permits
-      past adds at queue level), wait in one binary heap.
+    - One binary heap of pool indices. Each entry records its heap
+      position, so add, cancel and take are O(log n) in the live entries
+      and a cancel frees its entry at once: the queue holds only live
+      entries and the one in flight, at any distance in time, and a time
+      below the last one popped (the engine permits past adds at queue
+      level) needs no special case.
     - Entries live in a structure-of-arrays pool recycled through a free
       list, so steady-state traffic performs no heap allocation. Handles
       are immediate ints packing the pool index with a generation
@@ -77,17 +79,15 @@ val no_tick : int
 (** Sentinel returned by {!next_tick} on an empty queue ([min_int]). *)
 
 val next_tick : 'a t -> int
-(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}. The
-    entry found is remembered until the queue next changes, so the
-    {!take} that follows does not search again: one wheel search per
-    engine event. *)
+(** Tick (int nanoseconds) of the earliest live event, or {!no_tick}: a
+    read of the heap's root, O(1). *)
 
 val take : 'a t -> handle
 (** Remove the earliest live event from the queue but keep its entry
     pooled in-flight; returns {!none} if the queue is empty. The entry
     MUST subsequently be released with {!finish} or re-inserted with
     {!defer_inflight}. In-flight entries are invisible to {!size},
-    {!cancel} and the ordering scans. *)
+    {!cancel} and the heap order. *)
 
 val inflight_tick : 'a t -> handle -> int
 (** Tick of an in-flight entry (undefined on anything else). *)

@@ -1,5 +1,5 @@
 (* The engine's original binary-heap event queue, kept as the reference
-   the timing wheel is property-tested against (heap_queue.mli). *)
+   the pooled event queue is property-tested against (heap_queue.mli). *)
 
 open Hrt_engine
 

@@ -1,10 +1,11 @@
 (** Reference binary-heap event queue.
 
     This is the engine's original event queue, kept verbatim as the
-    {e reference implementation} for the hierarchical timing wheel that
+    {e reference implementation} for the pooled, indexed heap that
     replaced it ([Hrt_engine.Event_queue]): the differential property test
     drives both with the same operation stream and demands identical
-    (time, seq, payload) pop sequences.
+    (time, seq, payload) pop sequences. It boxes every entry and cancels
+    lazily, so it shares none of the pooled queue's mechanics.
 
     Events are ordered by (time, sequence number): two events at the same
     simulated instant fire in insertion order. Cancellation is lazy: a

@@ -131,7 +131,7 @@ let test_steady_state_allocation () =
   (* The zero-allocation contract: a steady-state run driven by a cached
      closure must not grow the major heap. The only per-event allocations
      allowed are the boxed int64s for the advancing clock, which die in the
-     minor heap; the queue itself (pool + wheel) recycles entries in place.
+     minor heap; the queue itself (pool + heap) recycles entries in place.
      Bound the total allocation rate and the words promoted by minor GCs. *)
   let eng = Engine.create () in
   let remaining = ref 10_000 in
@@ -142,7 +142,7 @@ let test_steady_state_allocation () =
     end
   in
   ignore (Engine.schedule eng ~at:1L event);
-  (* Warm-up: let the entry pool and wheel reach steady state. *)
+  (* Warm-up: let the entry pool and heap reach steady state. *)
   Engine.run ~until:2_000L eng;
   let measured = !remaining in
   Alcotest.(check bool) "warm-up ran" true (measured > 0 && measured < 10_000);

@@ -133,9 +133,8 @@ let test_large_volume () =
   Alcotest.(check int) "all popped" 10_000 !count
 
 let test_overflow_horizon () =
-  (* Events beyond the wheel's 2^32 ns horizon live in the overflow heap;
-     they must interleave correctly with near events, including events
-     added into the far page after the cursor reaches it. *)
+  (* Events 2^33 ns ahead must interleave with near events, including an
+     add among them after the pops have moved on. *)
   let q = Event_queue.create ~dummy:"" in
   let far = Int64.shift_left 1L 33 in
   ignore (Event_queue.add q ~time:(Int64.add far 5L) "far2");
@@ -143,17 +142,15 @@ let test_overflow_horizon () =
   ignore (Event_queue.add q ~time:far "far1");
   let t1, v1 = Option.get (Event_queue.pop q) in
   Alcotest.(check (pair int64 string)) "near first" (10L, "near") (t1, v1);
-  (* Cursor is now at tick 10; an add just above the far events still
-     sorts after them even though they never migrate into the wheel. *)
   ignore (Event_queue.add q ~time:(Int64.add far 7L) "far3");
   let vs = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list string)) "far events in order" [ "far1"; "far2"; "far3" ]
     vs
 
 let test_past_adds () =
-  (* The queue itself accepts times below the cursor (the engine layers
-     its own monotonicity check); they fire before everything at or above
-     the cursor, in (time, seq) order. *)
+  (* The queue itself accepts times below the last popped one (the
+     engine layers its own monotonicity check); they fire before
+     everything later, in (time, seq) order. *)
   let q = Event_queue.create ~dummy:"" in
   ignore (Event_queue.add q ~time:100L "now");
   ignore (Event_queue.pop q);
@@ -163,6 +160,31 @@ let test_past_adds () =
   let vs = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list string)) "past adds first, ordered"
     [ "late-a"; "late-b"; "next" ] vs
+
+(* A cancelled entry must give its pool slot back at once, however far
+   ahead it was. A queue that cancels lazily and reclaims an entry only
+   when it reaches the front lets one live far-off event pin every
+   far-off event cancelled behind it: the timing wheel did, and this
+   loop grew it from 3,136 to 1,050,688 reachable words. *)
+let test_far_cancel_frees_entry () =
+  let q = Event_queue.create ~dummy:0 in
+  let far = Int64.shift_left 1L 40 in
+  ignore (Event_queue.add q ~time:far 0);
+  let churn rounds =
+    for k = 1 to rounds do
+      let h = Event_queue.add q ~time:(Int64.add far (Int64.of_int k)) k in
+      Event_queue.cancel q h;
+      ignore (Event_queue.next_tick q)
+    done
+  in
+  churn 100;
+  let words0 = Obj.reachable_words (Obj.repr q) in
+  churn 100_000;
+  let words = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check int) "one live entry" 1 (Event_queue.size q);
+  if words > words0 + 64 then
+    Alcotest.failf "cancelled entries retained: %d -> %d reachable words" words0
+      words
 
 let test_take_finish_defer () =
   (* The engine's hot-path protocol: take detaches the minimum but keeps
@@ -209,4 +231,6 @@ let suite =
     Alcotest.test_case "past adds fire first" `Quick test_past_adds;
     Alcotest.test_case "take/defer/finish protocol" `Quick
       test_take_finish_defer;
+    Alcotest.test_case "far cancel frees its entry" `Quick
+      test_far_cancel_frees_entry;
   ]

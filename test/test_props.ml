@@ -162,20 +162,19 @@ let prop_eq_sorted_with_cancels =
         drain Int64.min_int 0
       end)
 
-(* ---- Timing wheel vs reference heap (differential) ----
+(* ---- Event queue vs reference heap (differential) ----
 
-   The engine's determinism guarantee rests on the wheel producing the
-   exact (time, seq, payload) pop sequence of the original binary heap.
-   Drive both implementations with one random operation stream — adds
-   (including same-instant FIFO ties, past-time adds once pops have
-   advanced the cursor, and far adds beyond the wheel's 2^32 ns horizon),
-   cancels through stored handles, and pops — and demand
-   they agree on every observation. *)
+   The engine's determinism guarantee rests on the event queue producing
+   the exact (time, seq, payload) pop sequence of the original binary
+   heap. Drive both implementations with one random operation stream —
+   adds (including same-instant FIFO ties, past-time adds once pops have
+   moved on, and far adds 2^33 ns ahead), cancels through stored
+   handles, pops, and deep queues churned at interior positions — and
+   demand they agree on every observation. *)
 
-(* The engine's in-flight protocol rides along: [next_tick] (which
-   memoizes the minimum), [take] followed by [finish] or by
-   [defer_inflight], and a cancel of the current minimum right after a
-   [next_tick] — each one a chance for a stale memoized minimum to show. *)
+(* The engine's in-flight protocol rides along: [next_tick], [take]
+   followed by [finish] or by [defer_inflight], and a cancel of the
+   current minimum right after a [next_tick]. *)
 type eq_op =
   | Eq_add of int
   | Eq_far of int
@@ -185,6 +184,22 @@ type eq_op =
   | Eq_take_finish
   | Eq_take_defer of int
   | Eq_cancel_min
+
+(* Hundreds to a few thousand adds at times spread over 2^34 ns, then
+   cancels of random earlier insertions and deferrals to spread times:
+   removals and re-insertions deep inside a tall heap. *)
+let eq_deep_gen =
+  let spread = QCheck.Gen.int_bound (1 lsl 34) in
+  QCheck.Gen.(
+    map2
+      (fun times churn ->
+        List.map (fun t -> Eq_add t) times
+        @ List.map
+            (fun r ->
+              if r land 1 = 0 then Eq_cancel (r lsr 1) else Eq_take_defer r)
+            churn)
+      (list_size (int_range 200 3000) spread)
+      (list_size (int_range 50 400) spread))
 
 let eq_op_gen =
   QCheck.Gen.(
@@ -201,43 +216,52 @@ let eq_op_gen =
         (2, return Eq_cancel_min);
       ])
 
+(* One case in four runs a deep block between two short streams. *)
+let eq_ops_gen =
+  QCheck.Gen.(
+    let ops = list_size (int_range 0 150) eq_op_gen in
+    frequency
+      [ (3, ops); (1, map3 (fun a deep b -> a @ deep @ b) ops eq_deep_gen ops) ])
+
 let heap_tick h =
   match Heap_queue.peek_time h with
   | None -> Event_queue.no_tick
   | Some t -> Int64.to_int t
 
-let prop_eq_wheel_matches_heap =
-  QCheck.Test.make ~name:"timing wheel matches reference heap" ~count:400
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 150) eq_op_gen))
+let prop_event_queue_matches_heap =
+  QCheck.Test.make ~name:"event queue matches reference heap" ~count:400
+    (QCheck.make eq_ops_gen)
     (fun ops ->
       let w = Event_queue.create ~dummy:(-1) in
       let h = Heap_queue.create () in
-      (* Handle pairs for every insertion, newest first. *)
-      let hs = ref [] in
+      (* Insertion [id] (also its payload) -> its two handles and the
+         seq of its latest (re)insertion. *)
+      let entries = Hashtbl.create 64 in
       let n = ref 0 in
+      let seq = ref 0 in
       let far = Int64.shift_left 1L 33 in
-      let pick i = List.nth !hs (i mod !n) in
+      let pick i = Hashtbl.find entries (i mod !n) in
+      let insert id pair =
+        Hashtbl.replace entries id (pair, !seq);
+        incr seq
+      in
       let add time =
         let id = !n in
-        hs := (Event_queue.add w ~time id, Heap_queue.add h ~time id) :: !hs;
+        insert id (Event_queue.add w ~time id, Heap_queue.add h ~time id);
         incr n
       in
-      (* The live pair that fires next: earliest time, and among equal
-         times the oldest insertion. [hs] is newest first and every
-         (re)insertion goes to its front, so the last minimal pair wins. *)
+      (* The live pair that fires next: earliest time, then lowest seq. *)
       let live_min () =
-        List.fold_left
-          (fun best (wh, he) ->
+        Hashtbl.fold
+          (fun _ (((_, he) as pair), sq) best ->
             if not (Heap_queue.is_live he) then best
             else
+              let key = (Heap_queue.entry_time he, sq) in
               match best with
-              | Some (_, be)
-                when Int64.compare (Heap_queue.entry_time be)
-                       (Heap_queue.entry_time he)
-                     < 0 ->
-                best
-              | Some _ | None -> Some (wh, he))
-          None !hs
+              | Some (bkey, _) when compare bkey key < 0 -> best
+              | Some _ | None -> Some (key, pair))
+          entries None
+        |> Option.map snd
       in
       (* [take] must hand out what the heap pops. *)
       let take_matches () =
@@ -263,7 +287,7 @@ let prop_eq_wheel_matches_heap =
         | Eq_cancel i ->
           !n = 0
           ||
-          let wh, he = pick i in
+          let (wh, he), _ = pick i in
           (* Liveness must agree even through fired / already-cancelled /
              deferred handles (generation checks vs lazy marks). *)
           let agree = Event_queue.is_live w wh = Heap_queue.is_live he in
@@ -285,15 +309,13 @@ let prop_eq_wheel_matches_heap =
           | Some None -> true
           | Some (Some (wh, p)) ->
             (* Ask for the minimum while the entry is in flight, as a
-               handler may; the deferral must not leave that answer
-               standing. The wheel keeps the owner's handle; the heap
-               re-adds. *)
+               handler may. The event queue keeps the owner's handle;
+               the reference heap re-adds. *)
             Event_queue.next_tick w = heap_tick h
             &&
             let time = Int64.of_int t in
             Event_queue.defer_inflight w wh ~time;
-            let he = Heap_queue.add h ~time p in
-            hs := (wh, he) :: List.filter (fun (x, _) -> x <> wh) !hs;
+            insert p (wh, Heap_queue.add h ~time p);
             Event_queue.is_live w wh)
         | Eq_cancel_min -> (
           Event_queue.next_tick w = heap_tick h
@@ -526,7 +548,7 @@ let suite =
       prop_pq_remove_keeps_order;
       prop_pq_model;
       prop_eq_sorted_with_cancels;
-      prop_eq_wheel_matches_heap;
+      prop_event_queue_matches_heap;
       prop_summary_bounds;
       prop_summary_merge_commutes;
       prop_histogram_conservation;

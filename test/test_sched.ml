@@ -411,7 +411,7 @@ let test_pass_allocation_budget () =
   ignore
     (Hrt_harness.Exp.periodic_thread sys ~cpu:1 ~period:(Time.us 10)
        ~slice:(Time.us 5) ());
-  (* Warm-up: admission, queue pools and wheel reach steady state. *)
+  (* Warm-up: admission and the queue's entry pool reach steady state. *)
   Scheduler.run ~until:(Time.ms 5) sys;
   let eng = Scheduler.engine sys in
   let events0 = Engine.events_executed eng in
@@ -426,6 +426,30 @@ let test_pass_allocation_budget () =
       "scheduler pass allocation: %.1f minor words per event over %d events \
        (budget 128)"
       per_event events
+
+(* The engine's memory must stay flat while a far-off event stays
+   pending: CPU 0's aperiodic thread is never re-dispatched, so its
+   1-hour completion stays queued, while CPU 1's periodic thread cancels
+   and re-adds its own completion on every pass. A queue that pins
+   cancelled entries behind a live far-off one grows here: the timing
+   wheel took the engine from 137,483 to 530,699 reachable words
+   between 1 and 4 simulated seconds. *)
+let test_far_event_keeps_memory_flat () =
+  let sys = mk ~num_cpus:2 () in
+  ignore
+    (Scheduler.spawn sys ~cpu:0 ~bound:true
+       (Program.compute_forever (Time.sec 3600)));
+  ignore
+    (Hrt_harness.Exp.periodic_thread sys ~cpu:1 ~period:(Time.us 100)
+       ~slice:(Time.us 50) ());
+  let eng = Scheduler.engine sys in
+  Scheduler.run ~until:(Time.sec 1) sys;
+  let words0 = Obj.reachable_words (Obj.repr eng) in
+  Scheduler.run ~until:(Time.sec 4) sys;
+  let words = Obj.reachable_words (Obj.repr eng) in
+  if words > words0 + 512 then
+    Alcotest.failf "engine grew from %d to %d reachable words (%d pending)"
+      words0 words (Engine.pending eng)
 
 let suite =
   [
@@ -454,4 +478,6 @@ let suite =
     Alcotest.test_case "device irq charges the thread" `Quick test_device_irq_charges_cpu;
     Alcotest.test_case "scheduler pass allocation budget" `Quick
       test_pass_allocation_budget;
+    Alcotest.test_case "far event keeps memory flat" `Quick
+      test_far_event_keeps_memory_flat;
   ]
